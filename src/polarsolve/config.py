@@ -12,6 +12,7 @@ code 2 with a one-line diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 EXPERIMENTS = (
@@ -163,6 +164,9 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     """Range-check every field against its target type's invariants."""
     if config.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {config.experiment!r}")
+    for name in ("pi", "beta", "H", "k", "tol"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(name, f"must be finite, got {getattr(config, name)}")
     if not 0.0 < config.pi < 1.0:
         raise ConfigError("pi", f"must lie in (0, 1), got {config.pi}")
     if not 0.0 < config.beta < 1.0:
@@ -187,8 +191,13 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("solver", "sweep configs must name a solver experiment")
         if not config.sweep_axes:
             raise ConfigError("sweep_axes", "sweep configs need at least one sweep.<param> axis")
+        # Each axis value must pass as the solver's own config would, so a
+        # bad value fails before any combination writes artifacts.
+        solver_config = replace(config, experiment=config.solver, solver="", sweep_axes=())
         combos = 1
-        for _, values in config.sweep_axes:
+        for name, values in config.sweep_axes:
+            for value in values:
+                validate(replace(solver_config, **{name: value}))
             combos *= len(values)
         if combos > config.sweep_cap:
             raise ConfigError(

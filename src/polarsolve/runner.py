@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .config import ExperimentConfig, config_as_dict, validate
+from .config import ConfigError, ExperimentConfig, config_as_dict, validate
 from .grids import build_grid
 from .model import CostSpec, ModelParams, evaluate_cost, stage_payoff
 from .single_elite import (
@@ -31,7 +31,7 @@ from .single_elite import (
     period2_solve,
     solve_infinite,
 )
-from .two_elite import MpeSolution, mpe_solve, stackelberg_solve
+from .two_elite import MpeSolution, check_no_deviation, mpe_solve, stackelberg_solve
 
 SCHEMA_VERSION = "1"
 TOOL_VERSION = "0.1.0"
@@ -246,11 +246,11 @@ def _run_solve_stackelberg(config: ExperimentConfig, out_dir: Path) -> RunResult
 
 
 def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    # The equilibrium computation is a finite-horizon procedure: running the
-    # requested horizon is success. Stationarity (early-stop residual below
-    # tol) is recorded as a diagnostic; the best-response dynamics genuinely
-    # cycle for many cost levels, which is a property of the game, not a
-    # solver failure.
+    # The equilibrium computation is a finite-horizon procedure: the tables
+    # of the requested horizon are success. Stationarity (early-stop residual
+    # below tol) and the exact 2-cycle are recorded as diagnostics; the
+    # best-response dynamics genuinely cycle for many cost levels, which is a
+    # property of the game, not a solver failure.
     params, cost, grid = _model_inputs(config)
     start = time.perf_counter()
     sol = mpe_solve(params, cost, grid, horizon=config.horizon, residual_tol=config.tol)
@@ -262,6 +262,9 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
         "horizon_used": sol.horizon_used,
         "residual": sol.residual,
         "stationary": sol.converged,
+        "cycle_period": sol.cycle_period,
+        "cycle_entered_at": sol.cycle_entered_at,
+        "no_deviation_gain": check_no_deviation(params, cost, sol),
     }
     manifest = _write_manifest(
         out_dir, config, diagnostics, [out_dir / "policy.csv", out_dir / "value.csv"]
@@ -271,12 +274,15 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
 
 def _default_workers() -> int:
     raw = os.environ.get("POLARSOLVE_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return max(1, min(4, os.cpu_count() or 1))
+    if not raw:
+        return max(1, min(4, os.cpu_count() or 1))
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError("POLARSOLVE_THREADS", f"must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:

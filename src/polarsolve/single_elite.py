@@ -12,7 +12,9 @@ would smooth away exactly the discontinuity the model is about.
 Tie-breaking everywhere: highest value, then smallest movement |p' - p|,
 then closest to 1/2, then the mover's preferred side. The last two rungs
 only matter in degenerate cases (e.g. zero cost); the rule is chosen so
-that mirror symmetry of the solution is exact, not approximate.
+that mirror symmetry of the solution is exact, not approximate. One
+vectorised kernel, `_greedy`, applies it for every solver here and in
+the two-elite module.
 """
 
 from __future__ import annotations
@@ -240,29 +242,52 @@ def _stage_vector(params: ModelParams, grid: Grid, s: int) -> np.ndarray:
     return stage_payoff(s, grid.points, params.H)
 
 
-def _break_tie(tied: np.ndarray, src: int, grid: Grid, prefer_right: bool) -> int:
-    pts = grid.points
-    move = np.abs(pts[tied] - pts[src])
-    tied = tied[move == move.min()]
-    dist_mid = np.abs(pts[tied] - 0.5)
-    tied = tied[dist_mid == dist_mid.min()]
-    if tied.size > 1:
-        # Equidistant pair straddling 1/2: take the mover's preferred side.
-        side = tied[pts[tied] > 0.5] if prefer_right else tied[pts[tied] < 0.5]
-        if side.size:
-            tied = side
-    return int(tied[0])
+def _greedy(scores: np.ndarray, grid: Grid, prefer_right: bool):
+    """Per source column i, the best destination row of scores[:, i].
 
-
-def _greedy(base: np.ndarray, costmat: np.ndarray, grid: Grid, prefer_right: bool):
-    """Per source point, maximize base[j] - costmat[j, i] over destinations j."""
-    scores = base[:, None] - costmat
-    best = scores.max(axis=0)
+    Returns (idx, best). Ties in the score go to the smallest movement
+    |p' - p|, then to the point closest to 1/2, then to the mover's
+    preferred side, then to the lower index. Only the nearest tied row at
+    or below the source and the nearest at or above it can win the first
+    rung, so the ladder compares just those two, for tied columns only.
+    """
+    n = grid.n
     idx = scores.argmax(axis=0)
-    tie_counts = (scores == best[None, :]).sum(axis=0)
-    for i in np.flatnonzero(tie_counts > 1):
-        idx[i] = _break_tie(np.flatnonzero(scores[:, i] == best[i]), i, grid, prefer_right)
+    best = scores[idx, np.arange(n)]
+    tied = scores == best
+    counts = np.count_nonzero(tied, axis=0)
+    cols = np.flatnonzero(counts > 1)
+    if cols.size:
+        # Tied rows of every tied column, as sorted positions in one flat
+        # array: column cols[j] owns positions offset[j] to offset[j] + n - 1.
+        counts = counts[cols]
+        pos = np.flatnonzero(tied.T[cols])
+        offset = np.arange(cols.size) * n
+        first = np.cumsum(counts) - counts  # where each column's run starts in pos
+        source = offset + cols
+        below = np.searchsorted(pos, source, side="right") - 1
+        above = np.searchsorted(pos, source)
+        # A column tied on one side of its source only keeps that side's row.
+        has_lo, has_hi = below >= first, above < first + counts
+        lo = pos[np.where(has_lo, below, above)] - offset
+        hi = pos[np.where(has_hi, above, below)] - offset
+        idx[cols] = _ladder(lo, hi, cols, grid.points, prefer_right)
     return idx, best
+
+
+def _ladder(lo, hi, src, pts, prefer_right: bool) -> np.ndarray:
+    """Pick lo or hi (lo <= src <= hi, equal scores) by the tie rungs."""
+    move_lo, move_hi = np.abs(pts[lo] - pts[src]), np.abs(pts[hi] - pts[src])
+    mid_lo, mid_hi = np.abs(pts[lo] - 0.5), np.abs(pts[hi] - 0.5)
+    # Equidistant pair straddling 1/2: take the mover's preferred side.
+    if prefer_right:
+        side_lo, side_hi = pts[lo] > 0.5, pts[hi] > 0.5
+    else:
+        side_lo, side_hi = pts[lo] < 0.5, pts[hi] < 0.5
+    take_hi = (move_hi < move_lo) | (
+        (move_hi == move_lo) & ((mid_hi < mid_lo) | ((mid_hi == mid_lo) & side_hi & ~side_lo))
+    )
+    return np.where(take_hi, hi, lo)
 
 
 def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable) -> ValueTable:
@@ -289,7 +314,7 @@ def solve_infinite(
     module's tie-breaking. Non-convergence within max_iter is flagged,
     not raised; the best tables found are still returned.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     costmat = _cost_matrix(cost, grid)
     stage = {s: _stage_vector(params, grid, s) for s in (0, 1)}
@@ -300,15 +325,16 @@ def solve_infinite(
     iterations = 0
     while iterations < max_iter:
         continuation = params.pi * v1 + (1.0 - params.pi) * v0
-        residual = 0.0
-        new = []
+        new, changes = [], []
         for s, old in ((0, v0), (1, v1)):
             base = stage[s] + params.beta * continuation
             np.subtract(base[:, None], costmat, out=scratch)
             fresh = scratch.max(axis=0)
-            residual = max(residual, float(np.abs(fresh - old).max()))
+            changes.append(np.abs(fresh - old).max())
             new.append(fresh)
         v0, v1 = new
+        # np.max, unlike the builtin max(0.0, nan), lets a NaN through.
+        residual = float(np.max(changes))
         iterations += 1
         if residual <= tol:
             break
@@ -316,7 +342,8 @@ def solve_infinite(
     policies = []
     for s in (0, 1):
         base = stage[s] + params.beta * continuation
-        idx, _ = _greedy(base, costmat, grid, prefer_right=(s == 1))
+        np.subtract(base[:, None], costmat, out=scratch)
+        idx, _ = _greedy(scratch, grid, prefer_right=(s == 1))
         policies.append(grid.points[idx])
     return InfiniteHorizonSolution(
         value=ValueTable(grid=grid, v0=v0, v1=v1),
@@ -383,7 +410,7 @@ def _one_step_policy(params, cost, grid, continuation) -> PolicyTable:
     policies = []
     for s in (0, 1):
         base = _stage_vector(params, grid, s) + params.beta * continuation
-        idx, _ = _greedy(base, costmat, grid, prefer_right=(s == 1))
+        idx, _ = _greedy(base[:, None] - costmat, grid, prefer_right=(s == 1))
         policies.append(grid.points[idx])
     return PolicyTable(grid=grid, sigma0=policies[0], sigma1=policies[1])
 

@@ -9,12 +9,19 @@ The long-horizon equilibrium is computed by backward induction with a
 long horizon (600 periods by default) rather than by asserting a
 stationary fixed point: each backward step first solves both movers'
 problems against the current waiting values, then refreshes the waiting
-values by plugging the opponent's newly computed policy. An early-stop
-residual detects stationarity when it arrives sooner.
+values by plugging the opponent's newly computed policy. The waiting
+values are the whole state of that map, so the recursion can stop
+early without changing its result. An early-stop residual detects
+stationarity (cycle period 1). For many cost levels the recursion
+instead enters an exact 2-cycle: once the waiting values equal those of
+two steps earlier bit for bit, the solver stops and returns the phase
+the full horizon would end on, the current step's tables if the steps
+left are even and the previous step's if odd (cycle period 2).
 
-Tie-breaking matches the single-elite module (smallest movement, then
-toward 1/2, then the mover's preferred side), which makes the role-swap
-mirror symmetry between the two elites exact on mirror-closed grids.
+Tie-breaking is the single-elite module's vectorised ladder (smallest
+movement, then toward 1/2, then the mover's preferred side), which makes
+the role-swap mirror symmetry between the two elites exact on
+mirror-closed grids.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .model import (
     implemented_policy,
     stage_payoff,
 )
-from .single_elite import CandidateEvaluation, _break_tie, _cost_matrix
+from .single_elite import CandidateEvaluation, _cost_matrix, _greedy
 
 INACTION = "inaction"
 MEDIAN = "median"
@@ -139,6 +146,10 @@ class MpeSolution:
     horizon_used: int
     residual: float
     converged: bool
+    # 1 for the residual stop, 2 for an exact 2-cycle, None if the horizon ran out.
+    cycle_period: int | None = None
+    # First step whose waiting values recur two steps later (2-cycle only).
+    cycle_entered_at: int | None = None
 
     def mover_values(self, elite: str, s: int) -> np.ndarray:
         table = {("A", 0): self.vA0, ("A", 1): self.vA1, ("B", 0): self.vB0, ("B", 1): self.vB1}
@@ -174,13 +185,17 @@ def mpe_solve(
     All value tables start at zero. Each backward step computes both
     movers' values and greedy policies against the current waiting
     values, then refreshes both waiting values using the opponent's
-    just-computed policy. Stops at the horizon or as soon as every value
-    table moves by at most residual_tol in sup norm; exhausting the
-    horizon with a larger residual flags the solution as non-converged.
+    just-computed policy. Stops as soon as every value table moves by at
+    most residual_tol in sup norm (cycle period 1), or as soon as the
+    waiting values repeat those of two steps earlier bit for bit (period
+    2): the waiting values are the whole state of the recursion, so every
+    later step would repeat one of the last two, and the one the full
+    horizon would end on is returned. Exhausting the horizon with a
+    larger residual flags the solution as non-converged.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be at least 2, got {horizon}")
-    if residual_tol <= 0.0:
+    if not residual_tol > 0.0:
         raise ValueError(f"residual_tol must be positive, got {residual_tol}")
     pi, beta = params.pi, params.beta
     pts = grid.points
@@ -200,38 +215,47 @@ def mpe_solve(
     policy_idx = {(e, s): np.arange(grid.n) for e in (ELITE_A, ELITE_B) for s in (0, 1)}
     scratch = np.empty((grid.n, grid.n))
     residual = math.inf
+    cycle_period = cycle_entered_at = None
+    previous = earlier_u = None  # tables of the last step, waiting values of the one before
     steps = 0
     while steps < horizon:
-        residual = 0.0
-        new_v = {}
+        new_v, new_idx, new_u, changes = {}, {}, {}, []
         for elite in (ELITE_A, ELITE_B):
             for s in (0, 1):
                 base = stage[(elite, s)] + beta * u[elite]
                 np.subtract(base[:, None], costmat, out=scratch)
-                best = scratch.max(axis=0)
-                idx = scratch.argmax(axis=0)
-                ties = (scratch == best[None, :]).sum(axis=0)
-                for i in np.flatnonzero(ties > 1):
-                    tied = np.flatnonzero(scratch[:, i] == best[i])
-                    idx[i] = _break_tie(tied, i, grid, prefer_right=(_preferred(elite, s) == 1))
-                residual = max(residual, float(np.abs(best - v[(elite, s)]).max()))
+                idx, best = _greedy(scratch, grid, prefer_right=(_preferred(elite, s) == 1))
+                changes.append(np.abs(best - v[(elite, s)]).max())
                 new_v[(elite, s)] = best
-                policy_idx[(elite, s)] = idx
-        v = new_v
+                new_idx[(elite, s)] = idx
         for elite in (ELITE_A, ELITE_B):
             opponent = ELITE_B if elite == ELITE_A else ELITE_A
-            continuation = pi * v[(elite, 1)] + (1.0 - pi) * v[(elite, 0)]
+            continuation = pi * new_v[(elite, 1)] + (1.0 - pi) * new_v[(elite, 0)]
             fresh = np.zeros(grid.n)
             for s in (0, 1):
-                landing = policy_idx[(opponent, s)]
+                landing = new_idx[(opponent, s)]
                 prob = pi if s == 1 else 1.0 - pi
                 fresh = fresh + prob * (
                     waiting_stage[(elite, s)][landing] + beta * continuation[landing]
                 )
-            residual = max(residual, float(np.abs(fresh - u[elite]).max()))
-            u[elite] = fresh
+            changes.append(np.abs(fresh - u[elite]).max())
+            new_u[elite] = fresh
+        earlier_u = previous[1] if previous else None
+        previous = (v, u, policy_idx)
+        v, u, policy_idx = new_v, new_u, new_idx
         steps += 1
+        # np.max, unlike the builtin max(0.0, nan), lets a NaN through.
+        residual = float(np.max(changes))
         if residual <= residual_tol:
+            cycle_period = 1
+            break
+        if earlier_u is not None and all(np.array_equal(u[e], earlier_u[e]) for e in u):
+            # Later steps repeat the last two in turn: an odd number of steps
+            # left ends on the previous step's tables. The residual between
+            # consecutive steps is the same in both phases.
+            cycle_period, cycle_entered_at = 2, steps - 2
+            if (horizon - steps) % 2:
+                v, u, policy_idx = previous
             break
     return MpeSolution(
         grid=grid,
@@ -248,6 +272,8 @@ def mpe_solve(
         horizon_used=steps,
         residual=residual,
         converged=residual <= residual_tol,
+        cycle_period=cycle_period,
+        cycle_entered_at=cycle_entered_at,
     )
 
 

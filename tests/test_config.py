@@ -114,3 +114,20 @@ def test_oracle_check_scan_alignment():
 def test_custom_cost_kind_rejected_in_configs():
     with pytest.raises(ConfigError):
         parse_config("cost = custom\n")
+
+
+@pytest.mark.parametrize("field", ["pi", "beta", "H", "k", "tol"])
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+def test_non_finite_values_rejected(field, raw):
+    with pytest.raises(ConfigError) as err:
+        validate(parse_config(f"experiment = solve-single\n{field} = {raw}\n"))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "axis", ["sweep.k = 1, inf", "sweep.k = 1, -1", "sweep.beta = 0.5, nan", "sweep.grid_n = 51, 50"]
+)
+def test_bad_sweep_values_rejected_up_front(axis):
+    with pytest.raises(ConfigError) as err:
+        validate(parse_config(f"experiment = sweep\nsolver = solve-single\n{axis}\n"))
+    assert err.value.field == axis.split()[0][len("sweep."):]

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import polarsolve as ps
 from polarsolve.cli import main
@@ -112,8 +113,22 @@ def test_solve_mpe_run_zero_cost(tmp_path):
         assert np.abs(cols[name] - v_star).max() <= 1e-8
     for name in ("uA", "uB"):
         assert np.abs(cols[name] - 0.9 * v_star).max() <= 1e-8
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["diagnostics"]["stationary"] is True
+    diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["stationary"] is True
+    assert diagnostics["cycle_period"] == 1
+    assert diagnostics["cycle_entered_at"] is None
+    assert diagnostics["no_deviation_gain"] <= 1e-8
+
+
+def test_mpe_baseline_manifest_reports_two_cycle(tmp_path):
+    preset = Path(__file__).resolve().parent.parent / "presets" / "two_elite_mpe_baseline.cfg"
+    assert main(["solve-mpe", "--config", str(preset), "--out", str(tmp_path)]) == 0
+    diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["stationary"] is False
+    assert diagnostics["cycle_period"] == 2
+    assert 0 < diagnostics["cycle_entered_at"] < diagnostics["horizon_used"] < 600
+    # one phase of a cycle, not a stationary equilibrium: a mover gains by deviating
+    assert diagnostics["no_deviation_gain"] > 1e-3
 
 
 def test_solve_two_period_writes_candidates(tmp_path):
@@ -223,3 +238,26 @@ def test_cli_wrong_subcommand_for_config(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["solve-single", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
+
+
+@pytest.mark.parametrize("override", ["k=inf", "H=inf", "tol=nan"])
+def test_cli_non_finite_override_exits_2_without_artifacts(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    code = main(
+        ["solve-single", "--out", str(out), "--override", "grid_n=51", "--override", override]
+    )
+    assert code == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+def test_cli_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("POLARSOLVE_THREADS", raw)
+    code = main(
+        ["sweep", "--out", str(tmp_path), "--override", "solver=solve-single",
+         "--override", "sweep.k=1, 10", "--override", "grid_n=51"]
+    )
+    assert code == 2
+    assert "POLARSOLVE_THREADS" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
 from polarsolve.model import evaluate_cost, stage_payoff
-from polarsolve.single_elite import ValueTable, bellman_apply
+from polarsolve.single_elite import ValueTable, _cost_matrix, _greedy, bellman_apply
+from tie_reference import break_tie
 
 PARAMS = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
 QUAD10 = ps.CostSpec.quadratic(10.0)
@@ -301,3 +302,24 @@ def test_costlier_technology_grows_inaction_region():
         inaction_costlier = report.policy_costlier.moves(s) == grid.points
         assert np.all(inaction_base <= inaction_costlier)
         assert inaction_costlier.sum() > inaction_base.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    half=st.integers(min_value=1, max_value=20),
+    k=st.sampled_from([0.0, 1.0]),
+    data=st.data(),
+)
+def test_greedy_matches_per_column_tie_ladder(half, k, data):
+    # few integer levels and cheap moves make tied destinations common
+    grid = ps.build_grid(2 * half + 1)
+    levels = data.draw(st.lists(st.integers(0, 3), min_size=grid.n, max_size=grid.n))
+    scores = np.array(levels, dtype=float)[:, None] - _cost_matrix(ps.CostSpec.quadratic(k), grid)
+    for prefer_right in (False, True):
+        idx, best = _greedy(scores, grid, prefer_right)
+        want = [
+            break_tie(np.flatnonzero(scores[:, i] == scores[:, i].max()), i, grid, prefer_right)
+            for i in range(grid.n)
+        ]
+        assert idx.tolist() == want
+        assert np.array_equal(best, scores.max(axis=0))

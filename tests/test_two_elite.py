@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
+from polarsolve.single_elite import _cost_matrix
 from polarsolve.two_elite import MpeSolution
+from tie_reference import greedy_by_column
 
 PARAMS = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
 QUAD10 = ps.CostSpec.quadratic(10.0)
@@ -157,6 +159,75 @@ def test_mpe_value_bounds():
             assert table.max() <= bound + 1e-9
         for sigma in (sol.sigmaA0, sol.sigmaA1, sol.sigmaB0, sol.sigmaB1):
             assert np.all(np.isin(sigma, grid.points))
+
+
+MPE_TABLES = ("vA0", "vA1", "uA", "vB0", "vB1", "uB", "sigmaA0", "sigmaA1", "sigmaB0", "sigmaB1")
+
+
+def plain_backward_induction(params, cost, grid, horizon):
+    """Backward induction with neither early exit; tables after every step."""
+    pts, beta, pi = grid.points, params.beta, params.pi
+    costmat = _cost_matrix(cost, grid)
+    pref = {("A", s): s for s in (0, 1)} | {("B", s): 1 - s for s in (0, 1)}
+    v = {key: np.zeros(grid.n) for key in pref}
+    u = {"A": np.zeros(grid.n), "B": np.zeros(grid.n)}
+    history = []
+    for _ in range(horizon):
+        new_v, idx, changes = {}, {}, []
+        for (elite, s), own in pref.items():
+            stage = params.H * (ps.implemented_policy(pts, own) == own)
+            scores = (stage + beta * u[elite])[:, None] - costmat
+            idx[(elite, s)], new_v[(elite, s)] = greedy_by_column(scores, grid, own == 1)
+            changes.append(np.abs(new_v[(elite, s)] - v[(elite, s)]).max())
+        new_u = {}
+        for elite, rival in (("A", "B"), ("B", "A")):
+            continuation = pi * new_v[(elite, 1)] + (1.0 - pi) * new_v[(elite, 0)]
+            fresh = np.zeros(grid.n)
+            for s in (0, 1):
+                landing = idx[(rival, s)]
+                landed = ps.implemented_policy(pts, pref[(rival, s)])[landing]
+                paid = params.H * (landed == pref[(elite, s)])
+                prob = pi if s == 1 else 1.0 - pi
+                fresh = fresh + prob * (paid + beta * continuation[landing])
+            changes.append(np.abs(fresh - u[elite]).max())
+            new_u[elite] = fresh
+        v, u = new_v, new_u
+        tables = {f"v{e}{s}": v[(e, s)] for e, s in pref} | {"uA": u["A"], "uB": u["B"]}
+        tables |= {f"sigma{e}{s}": pts[idx[(e, s)]] for e, s in pref}
+        history.append((tables, max(changes)))
+    return history
+
+
+@pytest.mark.parametrize("k", [0.5, 10.0])
+def test_mpe_cycle_stop_matches_full_horizon(k):
+    grid = ps.build_grid(51)
+    cost = ps.CostSpec.quadratic(k)
+    history = plain_backward_induction(PARAMS, cost, grid, 200)
+    for horizon in (200, 199):
+        sol = ps.mpe_solve(PARAMS, cost, grid, horizon=horizon)
+        tables, residual = history[horizon - 1]
+        for name in MPE_TABLES:
+            assert np.array_equal(getattr(sol, name), tables[name]), name
+        assert sol.residual == residual
+        assert sol.horizon_used < horizon
+        assert sol.cycle_period == 2
+        assert not sol.converged
+        # history[j] holds step j + 1; the state of step e recurs at step e + 2
+        entered = sol.cycle_entered_at
+        recurs = [
+            all(np.array_equal(history[j + 1][0][u], history[j - 1][0][u]) for u in ("uA", "uB"))
+            for j in (entered - 1, entered)
+        ]
+        assert recurs == [False, True]
+
+
+def test_mpe_high_cost_stops_by_residual():
+    grid = ps.build_grid(51)
+    sol = ps.mpe_solve(PARAMS, ps.CostSpec.quadratic(200.0), grid)
+    assert sol.converged
+    assert sol.horizon_used == 111
+    assert sol.cycle_period == 1
+    assert sol.cycle_entered_at is None
 
 
 def test_mpe_non_stationary_flagged():
