@@ -1,12 +1,15 @@
 """Solvers for a dynamic model of elite persuasion under majority rule."""
 
+# The package's one version literal: pyproject.toml and the run manifests
+# read it from here. Set before the submodules import it.
+__version__ = "0.1.0"
+
 from .config import ExperimentConfig, ConfigError, load_config, parse_config
-from .grids import Grid, build_grid, nearest_index
+from .grids import Grid, build_grid
 from .model import (
     CostSpec,
     ModelParams,
     PolarizationReport,
-    PublicState,
     cost_dominates,
     delta_threshold,
     evaluate_cost,
@@ -49,5 +52,3 @@ from .two_elite import (
     phi_continuation,
     stackelberg_solve,
 )
-
-__version__ = "0.1.0"

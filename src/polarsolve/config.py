@@ -13,6 +13,7 @@ code 2 with a one-line diagnostic.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 EXPERIMENTS = (
@@ -29,6 +30,13 @@ ORACLE_CHECKS = ("period2", "period1", "stackelberg")
 
 DEFAULT_GRID_N = 1001
 DEFAULT_GRID_N_MPE = 501
+
+# Peak number of n x n float64 matrices alive at once where they are built:
+# making a cost matrix holds the displacements, an intermediate product and
+# the costs (the solvers then keep the costs alone), and the oracle's
+# response tables hold as many. The two-period solvers build none.
+DENSE_MATRICES = 3
+DENSE_EXPERIMENTS = ("solve-single", "solve-mpe")
 
 
 class ConfigError(ValueError):
@@ -160,6 +168,25 @@ def apply_overrides(config: ExperimentConfig, overrides) -> ExperimentConfig:
     return config
 
 
+def _check_dense_memory(name: str, n: int) -> None:
+    """Reject a size whose n x n float64 matrices would not fit in memory.
+
+    Pure arithmetic, so an absurd size fails here instead of in the
+    allocator (or the OOM killer).
+    """
+    try:
+        available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return  # the platform does not report its memory
+    need = DENSE_MATRICES * 8 * n * n
+    if need > available:
+        raise ConfigError(
+            name,
+            f"{n} needs about {need / 2**30:.1f} GiB for {DENSE_MATRICES} n x n float64 "
+            f"matrices, more than the {available / 2**30:.1f} GiB of physical memory",
+        )
+
+
 def validate(config: ExperimentConfig) -> ExperimentConfig:
     """Range-check every field against its target type's invariants."""
     if config.experiment not in EXPERIMENTS:
@@ -178,6 +205,8 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     grid_n = config.resolved_grid_n()
     if grid_n < 3 or grid_n % 2 == 0:
         raise ConfigError("grid_n", f"must be odd and at least 3, got {grid_n}")
+    if config.experiment in DENSE_EXPERIMENTS:
+        _check_dense_memory("grid_n", grid_n)
     if config.horizon < 2:
         raise ConfigError("horizon", f"must be at least 2, got {config.horizon}")
     if config.tol <= 0.0:
@@ -208,6 +237,7 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("scan_n", f"must be at least 2, got {config.scan_n}")
         if config.oracle_n < 3 or config.oracle_n % 2 == 0:
             raise ConfigError("oracle_n", f"must be odd and at least 3, got {config.oracle_n}")
+        _check_dense_memory("oracle_n", config.oracle_n)
         if (config.oracle_n - 1) % (config.scan_n - 1) != 0:
             raise ConfigError(
                 "scan_n",

@@ -51,16 +51,3 @@ def build_grid(n: int) -> Grid:
     points.setflags(write=False)
     return Grid(points=points, n=n, step=1.0 / (n - 1))
 
-
-def nearest_index(grid: Grid, p: float) -> int:
-    """Index of the grid point closest to p; ties break to the lower index."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"share must lie in [0, 1], got {p}")
-    guess = int(p * (grid.n - 1))
-    best = None
-    best_dist = np.inf
-    for i in range(max(guess - 1, 0), min(guess + 2, grid.n)):
-        d = abs(grid.points[i] - p)
-        if d < best_dist:
-            best, best_dist = i, d
-    return best

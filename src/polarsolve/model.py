@@ -97,20 +97,6 @@ class CostSpec:
 
 
 @dataclass(frozen=True)
-class PublicState:
-    """Opinion share supporting policy 1, and the realized world state."""
-
-    p: float
-    s: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"share must lie in [0, 1], got {self.p}")
-        if self.s not in (0, 1):
-            raise ValueError(f"state must be 0 or 1, got {self.s}")
-
-
-@dataclass(frozen=True)
 class PolarizationReport:
     """Distance-from-consensus and opinion-variance indices."""
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import oracle as oracle_mod
 from .config import ConfigError, ExperimentConfig, config_as_dict, validate
 from .grids import build_grid
@@ -34,7 +35,7 @@ from .single_elite import (
 from .two_elite import MpeSolution, check_no_deviation, mpe_solve, stackelberg_solve
 
 SCHEMA_VERSION = "1"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -168,7 +169,34 @@ def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
     return RunResult(code, out_dir, manifest)
 
 
-def _run_solve_single2p(config: ExperimentConfig, out_dir: Path) -> RunResult:
+def _period1_record(p: float, s: int, sol) -> dict:
+    return {
+        "p": p,
+        "s": s,
+        "chosen": sol.p_next,
+        "value": sol.value,
+        "candidates": [_candidate_record(c) for c in sol.candidates],
+    }
+
+
+def _stackelberg_record(p0: float, s1: int, sol) -> dict:
+    return {
+        "p0": p0,
+        "s1": s1,
+        "chosen": sol.chosen,
+        "value": sol.value,
+        "phi": sol.phi_at_p0,
+        "candidates": [_candidate_record(c) for c in sol.candidates],
+    }
+
+
+def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, record) -> RunResult:
+    """Solve a two-period problem at every grid point and state.
+
+    solve(params, cost, p, s) returns one point's solution; record(p, s,
+    solution) turns it into its candidates.json entry, whose "chosen" and
+    "value" fill the policy and value tables.
+    """
     params, cost, grid = _model_inputs(config)
     start = time.perf_counter()
     sigma = [np.empty(grid.n), np.empty(grid.n)]
@@ -176,18 +204,10 @@ def _run_solve_single2p(config: ExperimentConfig, out_dir: Path) -> RunResult:
     records = []
     for s in (0, 1):
         for i, p in enumerate(grid.points):
-            sol = period1_solve(params, cost, float(p), s)
-            sigma[s][i] = sol.p_next
-            value[s][i] = sol.value
-            records.append(
-                {
-                    "p": float(p),
-                    "s": s,
-                    "chosen": sol.p_next,
-                    "value": sol.value,
-                    "candidates": [_candidate_record(c) for c in sol.candidates],
-                }
-            )
+            entry = record(float(p), s, solve(params, cost, float(p), s))
+            sigma[s][i] = entry["chosen"]
+            value[s][i] = entry["value"]
+            records.append(entry)
     elapsed = time.perf_counter() - start
     policy = PolicyTable(grid=grid, sigma0=sigma[0], sigma1=sigma[1])
     table = ValueTable(grid=grid, v0=value[0], v1=value[1])
@@ -204,45 +224,16 @@ def _run_solve_single2p(config: ExperimentConfig, out_dir: Path) -> RunResult:
         [out_dir / "policy.csv", out_dir / "value.csv", out_dir / "candidates.json"],
     )
     return RunResult(EXIT_OK, out_dir, manifest)
+
+
+# The solve functions are looked up when a run starts, not bound here, so
+# that a tracer patching this module's names (bench/tracer.py) sees every call.
+def _run_solve_single2p(config: ExperimentConfig, out_dir: Path) -> RunResult:
+    return _run_two_period(config, out_dir, period1_solve, _period1_record)
 
 
 def _run_solve_stackelberg(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    params, cost, grid = _model_inputs(config)
-    start = time.perf_counter()
-    sigma = [np.empty(grid.n), np.empty(grid.n)]
-    value = [np.empty(grid.n), np.empty(grid.n)]
-    records = []
-    for s1 in (0, 1):
-        for i, p0 in enumerate(grid.points):
-            sol = stackelberg_solve(params, cost, float(p0), s1)
-            sigma[s1][i] = sol.chosen
-            value[s1][i] = sol.value
-            records.append(
-                {
-                    "p0": float(p0),
-                    "s1": s1,
-                    "chosen": sol.chosen,
-                    "value": sol.value,
-                    "phi": sol.phi_at_p0,
-                    "candidates": [_candidate_record(c) for c in sol.candidates],
-                }
-            )
-    elapsed = time.perf_counter() - start
-    policy = PolicyTable(grid=grid, sigma0=sigma[0], sigma1=sigma[1])
-    table = ValueTable(grid=grid, v0=value[0], v1=value[1])
-    emit_policy_csv(policy, out_dir / "policy.csv")
-    emit_value_csv(table, out_dir / "value.csv")
-    (out_dir / "candidates.json").write_text(
-        json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    diagnostics = {"wall_time_s": elapsed, "points": grid.n}
-    manifest = _write_manifest(
-        out_dir,
-        config,
-        diagnostics,
-        [out_dir / "policy.csv", out_dir / "value.csv", out_dir / "candidates.json"],
-    )
-    return RunResult(EXIT_OK, out_dir, manifest)
+    return _run_two_period(config, out_dir, stackelberg_solve, _stackelberg_record)
 
 
 def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:

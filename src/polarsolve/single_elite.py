@@ -12,9 +12,15 @@ would smooth away exactly the discontinuity the model is about.
 Tie-breaking everywhere: highest value, then smallest movement |p' - p|,
 then closest to 1/2, then the mover's preferred side. The last two rungs
 only matter in degenerate cases (e.g. zero cost); the rule is chosen so
-that mirror symmetry of the solution is exact, not approximate. One
-vectorised kernel, `_greedy`, applies it for every solver here and in
-the two-elite module.
+that mirror symmetry of the solution is exact, not approximate.
+
+Every dense maximisation max_j base[j] - c(p_j - p_i), here and in the
+two-elite module, goes through one kernel, `_greedy`, which also applies
+the tie ladder. It reads the cost matrix source-major: grid displacements
+are exact, so the matrix is exactly symmetric and row i is the cost of
+every move out of source i. The kernel works through the sources in
+blocks of rows that fit a fixed byte budget, so the only n x n array a
+solver holds is the cost matrix itself.
 """
 
 from __future__ import annotations
@@ -233,7 +239,12 @@ def period1_solve(params: ModelParams, cost: CostSpec, p: float, s: int) -> Peri
 
 
 def _cost_matrix(cost: CostSpec, grid: Grid) -> np.ndarray:
-    """costs[j, i] = c(points[j] - points[i]) for destination j, source i."""
+    """costs[i, j] = c(points[i] - points[j]), an exactly symmetric matrix.
+
+    Grid displacements are exact and c depends on |x| only, so
+    costs[i, j] == costs[j, i] bit for bit: row i holds the cost of every
+    move out of source i, and the greedy kernel reads it row by row.
+    """
     disp = grid.points[:, None] - grid.points[None, :]
     return evaluate_cost(cost, disp)
 
@@ -242,36 +253,63 @@ def _stage_vector(params: ModelParams, grid: Grid, s: int) -> np.ndarray:
     return stage_payoff(s, grid.points, params.H)
 
 
-def _greedy(scores: np.ndarray, grid: Grid, prefer_right: bool):
-    """Per source column i, the best destination row of scores[:, i].
+# Bytes of scores the greedy kernel holds at once. A block of rows this
+# size stays in a core's cache while it is reduced and tested for ties.
+_BLOCK_BYTES = 256 * 1024
 
-    Returns (idx, best). Ties in the score go to the smallest movement
-    |p' - p|, then to the point closest to 1/2, then to the mover's
-    preferred side, then to the lower index. Only the nearest tied row at
-    or below the source and the nearest at or above it can win the first
-    rung, so the ladder compares just those two, for tied columns only.
+
+def _greedy(base: np.ndarray, costmat: np.ndarray, grid: Grid | None = None, prefer_right: bool = False):
+    """Per source i, the best destination j of base[j] - costmat[i, j].
+
+    Returns (idx, best). Without a grid only the best values are
+    computed and idx is None (the value-iteration sweep). With one, ties
+    in the score go to the smallest movement |p' - p|, then to the point
+    closest to 1/2, then to the mover's preferred side, then to the lower
+    index. Only the nearest tied destination at or below the source and
+    the nearest at or above it can win the first rung, so the ladder
+    compares just those two, for tied sources only.
+
+    Sources are taken in blocks of rows of _BLOCK_BYTES, so no n x n
+    array of scores is ever formed.
     """
-    n = grid.n
-    idx = scores.argmax(axis=0)
-    best = scores[idx, np.arange(n)]
-    tied = scores == best
-    counts = np.count_nonzero(tied, axis=0)
-    cols = np.flatnonzero(counts > 1)
-    if cols.size:
-        # Tied rows of every tied column, as sorted positions in one flat
-        # array: column cols[j] owns positions offset[j] to offset[j] + n - 1.
-        counts = counts[cols]
-        pos = np.flatnonzero(tied.T[cols])
-        offset = np.arange(cols.size) * n
-        first = np.cumsum(counts) - counts  # where each column's run starts in pos
-        source = offset + cols
-        below = np.searchsorted(pos, source, side="right") - 1
-        above = np.searchsorted(pos, source)
-        # A column tied on one side of its source only keeps that side's row.
+    n = base.size
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    buf = np.empty((min(rows, n), n))
+    best = np.empty(n)
+    idx = None if grid is None else np.empty(n, dtype=np.intp)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        scores = buf[: stop - start]
+        np.subtract(base, costmat[start:stop], out=scores)
+        if idx is None:
+            scores.max(axis=1, out=best[start:stop])
+            continue
+        r = np.arange(stop - start)
+        block_idx = scores.argmax(axis=1)
+        block_best = scores[r, block_idx]
+        idx[start:stop] = block_idx
+        best[start:stop] = block_best
+        # A source is tied when its best score recurs with the argmax masked.
+        scores[r, block_idx] = -np.inf
+        tied_rows = np.flatnonzero(scores.max(axis=1) == block_best)
+        if not tied_rows.size:
+            continue
+        scores[r, block_idx] = block_best
+        tied = (scores == block_best[:, None])[tied_rows]
+        # Tied destinations of every tied source, as sorted positions in one
+        # flat array: tied source r owns positions offset[r] to offset[r] + n - 1.
+        counts = np.count_nonzero(tied, axis=1)
+        pos = np.flatnonzero(tied)
+        offset = np.arange(tied_rows.size) * n
+        first = np.cumsum(counts) - counts  # where each source's run starts in pos
+        src = start + tied_rows
+        below = np.searchsorted(pos, offset + src, side="right") - 1
+        above = np.searchsorted(pos, offset + src)
+        # A source tied on one side of itself only keeps that side's destination.
         has_lo, has_hi = below >= first, above < first + counts
         lo = pos[np.where(has_lo, below, above)] - offset
         hi = pos[np.where(has_hi, above, below)] - offset
-        idx[cols] = _ladder(lo, hi, cols, grid.points, prefer_right)
+        idx[src] = _ladder(lo, hi, src, grid.points, prefer_right)
     return idx, best
 
 
@@ -297,7 +335,7 @@ def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable
     new = []
     for s in (0, 1):
         base = _stage_vector(params, grid, s) + params.beta * continuation
-        new.append((base[:, None] - costmat).max(axis=0))
+        new.append(_greedy(base, costmat)[1])
     return ValueTable(grid=grid, v0=new[0], v1=new[1])
 
 
@@ -320,7 +358,6 @@ def solve_infinite(
     stage = {s: _stage_vector(params, grid, s) for s in (0, 1)}
     v0 = np.zeros(grid.n)
     v1 = np.zeros(grid.n)
-    scratch = np.empty((grid.n, grid.n))
     residual = math.inf
     iterations = 0
     while iterations < max_iter:
@@ -328,8 +365,7 @@ def solve_infinite(
         new, changes = [], []
         for s, old in ((0, v0), (1, v1)):
             base = stage[s] + params.beta * continuation
-            np.subtract(base[:, None], costmat, out=scratch)
-            fresh = scratch.max(axis=0)
+            _, fresh = _greedy(base, costmat)
             changes.append(np.abs(fresh - old).max())
             new.append(fresh)
         v0, v1 = new
@@ -342,8 +378,7 @@ def solve_infinite(
     policies = []
     for s in (0, 1):
         base = stage[s] + params.beta * continuation
-        np.subtract(base[:, None], costmat, out=scratch)
-        idx, _ = _greedy(scratch, grid, prefer_right=(s == 1))
+        idx, _ = _greedy(base, costmat, grid, prefer_right=(s == 1))
         policies.append(grid.points[idx])
     return InfiniteHorizonSolution(
         value=ValueTable(grid=grid, v0=v0, v1=v1),
@@ -410,7 +445,7 @@ def _one_step_policy(params, cost, grid, continuation) -> PolicyTable:
     policies = []
     for s in (0, 1):
         base = _stage_vector(params, grid, s) + params.beta * continuation
-        idx, _ = _greedy(base[:, None] - costmat, grid, prefer_right=(s == 1))
+        idx, _ = _greedy(base, costmat, grid, prefer_right=(s == 1))
         policies.append(grid.points[idx])
     return PolicyTable(grid=grid, sigma0=policies[0], sigma1=policies[1])
 

@@ -7,7 +7,7 @@ mover at an exact half split implements its own preferred policy.
 
 The long-horizon equilibrium is computed by backward induction with a
 long horizon (600 periods by default) rather than by asserting a
-stationary fixed point: each backward step first solves both movers'
+stationary fixed point: each backward step first solves the movers'
 problems against the current waiting values, then refreshes the waiting
 values by plugging the opponent's newly computed policy. The waiting
 values are the whole state of that map, so the recursion can stop
@@ -18,10 +18,17 @@ two steps earlier bit for bit, the solver stops and returns the phase
 the full horizon would end on, the current step's tables if the steps
 left are even and the previous step's if odd (cycle period 2).
 
-Tie-breaking is the single-elite module's vectorised ladder (smallest
-movement, then toward 1/2, then the mover's preferred side), which makes
-the role-swap mirror symmetry between the two elites exact on
-mirror-closed grids.
+B is A with the roles swapped. In state s, B's problem is A's problem in
+state s reflected through p -> 1 - p, at any pi: B's stage and waiting
+payoffs at 1 - p equal A's at p, grid displacements and hence costs are
+exact under the reflection, and the tie ladder (smallest movement, then
+toward 1/2, then the mover's preferred side) is mirror-symmetric, since
+A prefers the right in the state where B prefers the left. On
+mirror-closed grids, such as those of build_grid, B's tables are
+therefore A's reversed bit for bit (vB_s = vA_s[::-1], uB = uA[::-1],
+idxB_s = (n - 1) - idxA_s[::-1]), so the backward induction solves A
+alone and reads B off by reversal. check_no_deviation, a verifier,
+re-solves all four movers independently and does not use the mirror.
 """
 
 from __future__ import annotations
@@ -182,16 +189,19 @@ def mpe_solve(
 ) -> MpeSolution:
     """Backward induction on the alternating-mover Bellman system.
 
-    All value tables start at zero. Each backward step computes both
+    All value tables start at zero. Each backward step computes the
     movers' values and greedy policies against the current waiting
-    values, then refreshes both waiting values using the opponent's
-    just-computed policy. Stops as soon as every value table moves by at
-    most residual_tol in sup norm (cycle period 1), or as soon as the
-    waiting values repeat those of two steps earlier bit for bit (period
-    2): the waiting values are the whole state of the recursion, so every
-    later step would repeat one of the last two, and the one the full
-    horizon would end on is returned. Exhausting the horizon with a
-    larger residual flags the solution as non-converged.
+    values, then refreshes the waiting values using the opponent's
+    just-computed policy. Only elite A's tables are computed: B's are A's
+    reflected through p -> 1 - p (see the module docstring), which needs
+    a mirror-closed grid such as build_grid makes. Stops as soon as every
+    value table moves by at most residual_tol in sup norm (cycle period
+    1), or as soon as the waiting values repeat those of two steps
+    earlier bit for bit (period 2): the waiting values are the whole
+    state of the recursion, so every later step would repeat one of the
+    last two, and the one the full horizon would end on is returned.
+    Exhausting the horizon with a larger residual flags the solution as
+    non-converged.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be at least 2, got {horizon}")
@@ -199,57 +209,50 @@ def mpe_solve(
         raise ValueError(f"residual_tol must be positive, got {residual_tol}")
     pi, beta = params.pi, params.beta
     pts = grid.points
+    if not np.array_equal(1.0 - pts, pts[::-1]):
+        raise ValueError("mpe_solve needs a mirror-closed grid (1 - p on the grid for every p)")
+    last = grid.n - 1
     costmat = _cost_matrix(cost, grid)
-    stage = {(e, s): _mover_stage(params, grid, e, s) for e in (ELITE_A, ELITE_B) for s in (0, 1)}
-    # Payoff to the waiting elite when the opponent lands on each point,
-    # by the waiting elite's identity and the realized state.
-    waiting_stage = {}
-    for elite in (ELITE_A, ELITE_B):
-        opponent = ELITE_B if elite == ELITE_A else ELITE_A
-        for s in (0, 1):
-            landed_policy = implemented_policy(pts, _preferred(opponent, s))
-            waiting_stage[(elite, s)] = params.H * (landed_policy == _preferred(elite, s))
+    stage = [_mover_stage(params, grid, ELITE_A, s) for s in (0, 1)]
+    # Payoff to A, waiting, when B lands on each point in state s.
+    waiting_stage = [
+        params.H * (implemented_policy(pts, _preferred(ELITE_B, s)) == s) for s in (0, 1)
+    ]
 
-    v = {(e, s): np.zeros(grid.n) for e in (ELITE_A, ELITE_B) for s in (0, 1)}
-    u = {e: np.zeros(grid.n) for e in (ELITE_A, ELITE_B)}
-    policy_idx = {(e, s): np.arange(grid.n) for e in (ELITE_A, ELITE_B) for s in (0, 1)}
-    scratch = np.empty((grid.n, grid.n))
+    v = [np.zeros(grid.n), np.zeros(grid.n)]
+    u = np.zeros(grid.n)
+    policy_idx = [np.arange(grid.n), np.arange(grid.n)]
     residual = math.inf
     cycle_period = cycle_entered_at = None
-    previous = earlier_u = None  # tables of the last step, waiting values of the one before
+    previous = earlier_u = None  # A's tables of the last step, its waiting values of the one before
     steps = 0
     while steps < horizon:
-        new_v, new_idx, new_u, changes = {}, {}, {}, []
-        for elite in (ELITE_A, ELITE_B):
-            for s in (0, 1):
-                base = stage[(elite, s)] + beta * u[elite]
-                np.subtract(base[:, None], costmat, out=scratch)
-                idx, best = _greedy(scratch, grid, prefer_right=(_preferred(elite, s) == 1))
-                changes.append(np.abs(best - v[(elite, s)]).max())
-                new_v[(elite, s)] = best
-                new_idx[(elite, s)] = idx
-        for elite in (ELITE_A, ELITE_B):
-            opponent = ELITE_B if elite == ELITE_A else ELITE_A
-            continuation = pi * new_v[(elite, 1)] + (1.0 - pi) * new_v[(elite, 0)]
-            fresh = np.zeros(grid.n)
-            for s in (0, 1):
-                landing = new_idx[(opponent, s)]
-                prob = pi if s == 1 else 1.0 - pi
-                fresh = fresh + prob * (
-                    waiting_stage[(elite, s)][landing] + beta * continuation[landing]
-                )
-            changes.append(np.abs(fresh - u[elite]).max())
-            new_u[elite] = fresh
+        new_v, new_idx, changes = [], [], []
+        for s in (0, 1):
+            base = stage[s] + beta * u
+            idx, best = _greedy(base, costmat, grid, prefer_right=(s == 1))
+            changes.append(np.abs(best - v[s]).max())
+            new_v.append(best)
+            new_idx.append(idx)
+        # A waits while B moves; B's landing from p is the mirror of A's from 1 - p.
+        continuation = pi * new_v[1] + (1.0 - pi) * new_v[0]
+        fresh = np.zeros(grid.n)
+        for s in (0, 1):
+            landing = last - new_idx[s][::-1]
+            prob = pi if s == 1 else 1.0 - pi
+            fresh = fresh + prob * (waiting_stage[s][landing] + beta * continuation[landing])
+        changes.append(np.abs(fresh - u).max())
         earlier_u = previous[1] if previous else None
         previous = (v, u, policy_idx)
-        v, u, policy_idx = new_v, new_u, new_idx
+        v, u, policy_idx = new_v, fresh, new_idx
         steps += 1
-        # np.max, unlike the builtin max(0.0, nan), lets a NaN through.
+        # B's changes mirror A's and have the same sup norm. np.max, unlike
+        # the builtin max(0.0, nan), lets a NaN through.
         residual = float(np.max(changes))
         if residual <= residual_tol:
             cycle_period = 1
             break
-        if earlier_u is not None and all(np.array_equal(u[e], earlier_u[e]) for e in u):
+        if earlier_u is not None and np.array_equal(u, earlier_u):
             # Later steps repeat the last two in turn: an odd number of steps
             # left ends on the previous step's tables. The residual between
             # consecutive steps is the same in both phases.
@@ -259,16 +262,16 @@ def mpe_solve(
             break
     return MpeSolution(
         grid=grid,
-        vA0=v[(ELITE_A, 0)],
-        vA1=v[(ELITE_A, 1)],
-        uA=u[ELITE_A],
-        vB0=v[(ELITE_B, 0)],
-        vB1=v[(ELITE_B, 1)],
-        uB=u[ELITE_B],
-        sigmaA0=pts[policy_idx[(ELITE_A, 0)]],
-        sigmaA1=pts[policy_idx[(ELITE_A, 1)]],
-        sigmaB0=pts[policy_idx[(ELITE_B, 0)]],
-        sigmaB1=pts[policy_idx[(ELITE_B, 1)]],
+        vA0=v[0],
+        vA1=v[1],
+        uA=u,
+        vB0=v[0][::-1].copy(),
+        vB1=v[1][::-1].copy(),
+        uB=u[::-1].copy(),
+        sigmaA0=pts[policy_idx[0]],
+        sigmaA1=pts[policy_idx[1]],
+        sigmaB0=pts[last - policy_idx[0][::-1]],
+        sigmaB1=pts[last - policy_idx[1][::-1]],
         horizon_used=steps,
         residual=residual,
         converged=residual <= residual_tol,
@@ -284,7 +287,9 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
     tables and compares the best deviation both to the recorded mover
     value and to the value of playing the recorded policy. For a
     converged solution the gain is bounded by the residual; a corrupted
-    value or policy entry shows up as a strictly positive gain.
+    value or policy entry shows up as a strictly positive gain. All four
+    movers are re-solved independently: the A/B mirror that mpe_solve
+    relies on is not assumed here, so a wrong B table shows up too.
     """
     grid = sol.grid
     costmat = _cost_matrix(cost, grid)
@@ -295,7 +300,7 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
         for s in (0, 1):
             stage = _mover_stage(params, grid, elite, s)
             base = stage + params.beta * waiting
-            best = (base[:, None] - costmat).max(axis=0)
+            _, best = _greedy(base, costmat)
             recorded = np.rint(sol.moves(elite, s) * (grid.n - 1)).astype(int)
             played = base[recorded] - costmat[recorded, sources]
             gain = float(

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from polarsolve.grids import build_grid, nearest_index
+from polarsolve.grids import build_grid
 
 
 def test_build_small_grids():
@@ -36,28 +35,3 @@ def test_grid_invariants(n):
     d = np.diff(g.points)
     assert np.all(d > 0)
     assert np.abs(d - g.step).max() <= 1e-15
-
-
-def test_nearest_index_examples():
-    g = build_grid(5)
-    assert nearest_index(g, 0.3) == 1
-    assert nearest_index(g, 0.375) == 1  # exact tie breaks low
-    assert nearest_index(g, 1.0) == 4
-    assert nearest_index(g, 0.0) == 0
-
-
-@pytest.mark.parametrize("n", [3, 5, 101, 501])
-def test_nearest_index_roundtrip(n):
-    g = build_grid(n)
-    for i in range(n):
-        assert nearest_index(g, float(g.points[i])) == i
-
-
-@given(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([5, 51, 101]))
-def test_nearest_index_mirror(p, n):
-    g = build_grid(n)
-    # stay clear of tie midpoints, where the low-index rule breaks symmetry
-    frac = p * (n - 1)
-    if abs(frac - np.floor(frac) - 0.5) < 1e-6:
-        return
-    assert nearest_index(g, 1.0 - p) == n - 1 - nearest_index(g, p)

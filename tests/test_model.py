@@ -28,16 +28,6 @@ def test_params_validation():
         ModelParams(pi=0.5, beta=0.9, H=0.0)
 
 
-def test_public_state_validation():
-    from polarsolve.model import PublicState
-
-    PublicState(p=0.5, s=1)
-    with pytest.raises(ValueError):
-        PublicState(p=1.5, s=0)
-    with pytest.raises(ValueError):
-        PublicState(p=0.5, s=2)
-
-
 def test_quadratic_cost_examples():
     assert evaluate_cost(QUAD10, 0.0) == 0.0
     assert evaluate_cost(QUAD10, 0.1) == pytest.approx(0.1, abs=1e-15)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -261,3 +262,40 @@ def test_cli_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, raw):
     assert code == 2
     assert "POLARSOLVE_THREADS" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-single", "--override", "grid_n=10000001"],
+        ["solve-mpe", "--override", "grid_n=10000001"],
+        ["sweep", "--override", "solver=solve-mpe", "--override", "sweep.grid_n=51, 10000001"],
+        ["oracle-check", "--override", "oracle_n=10000001", "--override", "scan_n=3"],
+    ],
+)
+def test_cli_oversized_grid_exits_2_without_allocating(tmp_path, capsys, monkeypatch, argv):
+    def refuse(n):
+        raise AssertionError(f"build_grid({n}) called for an oversized config")
+
+    monkeypatch.setattr("polarsolve.runner.build_grid", refuse)
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "run", GOLDEN, ids=[" ".join([r["experiment"]] + r["overrides"]) for r in GOLDEN]
+)
+def test_artifacts_match_golden_digests(tmp_path, run):
+    # a change to any emitted byte must be deliberate: bump SCHEMA_VERSION,
+    # say why in CHANGES.md and record the new digests
+    argv = [run["experiment"], "--out", str(tmp_path)]
+    for override in run["overrides"]:
+        argv += ["--override", override]
+    assert main(argv) == 0
+    for name, digest in run["sha256"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
+from polarsolve import single_elite
 from polarsolve.model import evaluate_cost, stage_payoff
 from polarsolve.single_elite import ValueTable, _cost_matrix, _greedy, bellman_apply
 from tie_reference import break_tie
@@ -308,18 +310,35 @@ def test_costlier_technology_grows_inaction_region():
 @given(
     half=st.integers(min_value=1, max_value=20),
     k=st.sampled_from([0.0, 1.0]),
+    rows=st.integers(min_value=1, max_value=41),
     data=st.data(),
 )
-def test_greedy_matches_per_column_tie_ladder(half, k, data):
-    # few integer levels and cheap moves make tied destinations common
+def test_greedy_matches_per_column_tie_ladder(half, k, rows, data):
+    # few integer levels and cheap moves make tied destinations common;
+    # blocks of `rows` sources, mostly not dividing n, cross block edges
     grid = ps.build_grid(2 * half + 1)
     levels = data.draw(st.lists(st.integers(0, 3), min_size=grid.n, max_size=grid.n))
-    scores = np.array(levels, dtype=float)[:, None] - _cost_matrix(ps.CostSpec.quadratic(k), grid)
-    for prefer_right in (False, True):
-        idx, best = _greedy(scores, grid, prefer_right)
-        want = [
-            break_tie(np.flatnonzero(scores[:, i] == scores[:, i].max()), i, grid, prefer_right)
-            for i in range(grid.n)
-        ]
-        assert idx.tolist() == want
-        assert np.array_equal(best, scores.max(axis=0))
+    base = np.array(levels, dtype=float)
+    costmat = _cost_matrix(ps.CostSpec.quadratic(k), grid)
+    scores = base[:, None] - costmat  # scores[j, i]: destination j from source i
+    with mock.patch.object(single_elite, "_BLOCK_BYTES", rows * 8 * grid.n):
+        for prefer_right in (False, True):
+            idx, best = _greedy(base, costmat, grid, prefer_right)
+            want = [
+                break_tie(np.flatnonzero(scores[:, i] == scores[:, i].max()), i, grid, prefer_right)
+                for i in range(grid.n)
+            ]
+            assert idx.tolist() == want
+            assert np.array_equal(best, scores.max(axis=0))
+        values_only, best_only = _greedy(base, costmat)
+    assert values_only is None
+    assert np.array_equal(best_only, scores.max(axis=0))
+
+
+def test_cost_matrix_is_exactly_symmetric():
+    # the kernel reads row i as the moves out of source i
+    grid = ps.build_grid(101)
+    custom = ps.CostSpec.from_function(lambda x: 3.0 * x * x + x**4)
+    for cost in (QUAD10, ps.CostSpec.quadratic(0.3), custom):
+        costmat = _cost_matrix(cost, grid)
+        assert np.array_equal(costmat, costmat.T)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
-from polarsolve.single_elite import _cost_matrix
 from polarsolve.two_elite import MpeSolution
-from tie_reference import greedy_by_column
+from mpe_reference import mpe_reference, reference_steps
 
 PARAMS = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
 QUAD10 = ps.CostSpec.quadratic(10.0)
@@ -149,6 +149,36 @@ def test_mpe_mirror_identities(pi):
     assert np.array_equal(sol.sigmaB1, 1.0 - sol.sigmaA1[::-1])
 
 
+def assert_same_solution(got, want):
+    for field in dataclasses.fields(MpeSolution):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 10.0, 200.0])
+@pytest.mark.parametrize("pi", [0.3, 0.5, 0.7, 0.9])
+def test_mpe_mirror_matches_independent_elites(pi, k):
+    # mpe_solve reads B off A by reflection; the reference solves both
+    params = ps.ModelParams(pi=pi, beta=0.9, H=1.0)
+    cost = ps.CostSpec.quadratic(k)
+    for n, horizon in ((101, 600), (51, 599)):
+        grid = ps.build_grid(n)
+        got = ps.mpe_solve(params, cost, grid, horizon=horizon)
+        assert_same_solution(got, mpe_reference(params, cost, grid, horizon=horizon))
+
+
+def test_mpe_mirror_matches_independent_elites_custom_cost():
+    cost = ps.CostSpec.from_function(lambda x: 6.0 * x * x + 4.0 * x**4)
+    for pi, n, horizon in ((0.5, 101, 599), (0.7, 51, 600)):
+        params = ps.ModelParams(pi=pi, beta=0.9, H=1.0)
+        grid = ps.build_grid(n)
+        got = ps.mpe_solve(params, cost, grid, horizon=horizon)
+        assert_same_solution(got, mpe_reference(params, cost, grid, horizon=horizon))
+
+
 def test_mpe_value_bounds():
     grid = ps.build_grid(101)
     for k in (0.0, 0.5, 10.0, 200.0):
@@ -166,35 +196,12 @@ MPE_TABLES = ("vA0", "vA1", "uA", "vB0", "vB1", "uB", "sigmaA0", "sigmaA1", "sig
 
 def plain_backward_induction(params, cost, grid, horizon):
     """Backward induction with neither early exit; tables after every step."""
-    pts, beta, pi = grid.points, params.beta, params.pi
-    costmat = _cost_matrix(cost, grid)
-    pref = {("A", s): s for s in (0, 1)} | {("B", s): 1 - s for s in (0, 1)}
-    v = {key: np.zeros(grid.n) for key in pref}
-    u = {"A": np.zeros(grid.n), "B": np.zeros(grid.n)}
+    pts = grid.points
     history = []
-    for _ in range(horizon):
-        new_v, idx, changes = {}, {}, []
-        for (elite, s), own in pref.items():
-            stage = params.H * (ps.implemented_policy(pts, own) == own)
-            scores = (stage + beta * u[elite])[:, None] - costmat
-            idx[(elite, s)], new_v[(elite, s)] = greedy_by_column(scores, grid, own == 1)
-            changes.append(np.abs(new_v[(elite, s)] - v[(elite, s)]).max())
-        new_u = {}
-        for elite, rival in (("A", "B"), ("B", "A")):
-            continuation = pi * new_v[(elite, 1)] + (1.0 - pi) * new_v[(elite, 0)]
-            fresh = np.zeros(grid.n)
-            for s in (0, 1):
-                landing = idx[(rival, s)]
-                landed = ps.implemented_policy(pts, pref[(rival, s)])[landing]
-                paid = params.H * (landed == pref[(elite, s)])
-                prob = pi if s == 1 else 1.0 - pi
-                fresh = fresh + prob * (paid + beta * continuation[landing])
-            changes.append(np.abs(fresh - u[elite]).max())
-            new_u[elite] = fresh
-        v, u = new_v, new_u
-        tables = {f"v{e}{s}": v[(e, s)] for e, s in pref} | {"uA": u["A"], "uB": u["B"]}
-        tables |= {f"sigma{e}{s}": pts[idx[(e, s)]] for e, s in pref}
-        history.append((tables, max(changes)))
+    for v, u, idx, residual in itertools.islice(reference_steps(params, cost, grid), horizon):
+        tables = {f"v{e}{s}": v[(e, s)] for e, s in v} | {"uA": u["A"], "uB": u["B"]}
+        tables |= {f"sigma{e}{s}": pts[idx[(e, s)]] for e, s in idx}
+        history.append((tables, residual))
     return history
 
 
@@ -330,3 +337,11 @@ def test_mpe_low_cost_two_turn_polarization():
         i1 = np.rint(p1 * (grid.n - 1)).astype(int)
         p2 = moves[(second, s)][i1]
         assert np.all((p1 == 0.5) | (p2 == 0.5))
+
+
+def test_mpe_rejects_grid_that_is_not_mirror_closed():
+    points = np.linspace(0.0, 1.0, 101)
+    assert not np.array_equal(1.0 - points, points[::-1])
+    grid = ps.Grid(points=points, n=101, step=0.01)
+    with pytest.raises(ValueError, match="mirror-closed"):
+        ps.mpe_solve(PARAMS, QUAD10, grid)
