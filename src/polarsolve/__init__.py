@@ -9,12 +9,10 @@ from .grids import Grid, build_grid
 from .model import (
     CostSpec,
     ModelParams,
-    PolarizationReport,
     cost_dominates,
     delta_threshold,
     evaluate_cost,
     implemented_policy,
-    polarization_indices,
     stage_payoff,
 )
 from .oracle import (

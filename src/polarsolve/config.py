@@ -187,6 +187,16 @@ def _check_dense_memory(name: str, n: int) -> None:
         )
 
 
+def _check_value_bound(H: float, beta: float) -> None:
+    """Reject payoffs whose discounted sum would overflow float64.
+
+    Every value table a solver writes is bounded by H / (1 - beta); past
+    the float range the tables would be written as inf.
+    """
+    if not math.isfinite(H / (1.0 - beta)):
+        raise ConfigError("H", f"H / (1 - beta) = {H} / {1.0 - beta} overflows float64")
+
+
 def validate(config: ExperimentConfig) -> ExperimentConfig:
     """Range-check every field against its target type's invariants."""
     if config.experiment not in EXPERIMENTS:
@@ -202,6 +212,7 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("H", f"must be positive, got {config.H}")
     if config.k < 0.0:
         raise ConfigError("k", f"must be non-negative, got {config.k}")
+    _check_value_bound(config.H, config.beta)
     grid_n = config.resolved_grid_n()
     if grid_n < 3 or grid_n % 2 == 0:
         raise ConfigError("grid_n", f"must be odd and at least 3, got {grid_n}")
@@ -228,6 +239,10 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
             for value in values:
                 validate(replace(solver_config, **{name: value}))
             combos *= len(values)
+        # Each value passed against the base config; the largest H and beta
+        # may still overflow together.
+        axes = dict(config.sweep_axes)
+        _check_value_bound(max(axes.get("H", [config.H])), max(axes.get("beta", [config.beta])))
         if combos > config.sweep_cap:
             raise ConfigError(
                 "sweep_axes", f"{combos} combinations exceed the cap of {config.sweep_cap}"

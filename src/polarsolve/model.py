@@ -96,14 +96,6 @@ class CostSpec:
             raise ValueError("custom cost requires a table")
 
 
-@dataclass(frozen=True)
-class PolarizationReport:
-    """Distance-from-consensus and opinion-variance indices."""
-
-    distance_index: float
-    variance_index: float
-
-
 def evaluate_cost(cost: CostSpec, x):
     """Cost of a signed opinion displacement x; symmetric in the sign.
 
@@ -157,14 +149,6 @@ def stage_payoff(s: int, p_next, H: float):
     At p_next = 1/2 the mover implements its preference and collects H.
     """
     return H * (implemented_policy(p_next, s) == s)
-
-
-def polarization_indices(p: float) -> PolarizationReport:
-    """Both polarization measures; maximal at p = 1/2, zero at consensus."""
-    return PolarizationReport(
-        distance_index=0.5 - abs(p - 0.5),
-        variance_index=p * (1.0 - p),
-    )
 
 
 def cost_dominates(c_tilde: CostSpec, c: CostSpec, samples) -> bool:

@@ -239,9 +239,9 @@ def _run_solve_stackelberg(config: ExperimentConfig, out_dir: Path) -> RunResult
 def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
     # The equilibrium computation is a finite-horizon procedure: the tables
     # of the requested horizon are success. Stationarity (early-stop residual
-    # below tol) and the exact 2-cycle are recorded as diagnostics; the
-    # best-response dynamics genuinely cycle for many cost levels, which is a
-    # property of the game, not a solver failure.
+    # below tol) and an exact cycle of any period are recorded as diagnostics;
+    # the best-response dynamics genuinely cycle for many cost levels, which is
+    # a property of the game, not a solver failure.
     params, cost, grid = _model_inputs(config)
     start = time.perf_counter()
     sol = mpe_solve(params, cost, grid, horizon=config.horizon, residual_tol=config.tol)

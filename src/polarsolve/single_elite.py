@@ -249,8 +249,9 @@ def _cost_matrix(cost: CostSpec, grid: Grid) -> np.ndarray:
     return evaluate_cost(cost, disp)
 
 
-def _stage_vector(params: ModelParams, grid: Grid, s: int) -> np.ndarray:
-    return stage_payoff(s, grid.points, params.H)
+def _stages(params: ModelParams, grid: Grid) -> list:
+    """The mover's stage payoff at every grid point, for s = 0 and s = 1."""
+    return [stage_payoff(s, grid.points, params.H) for s in (0, 1)]
 
 
 # Bytes of scores the greedy kernel holds at once. A block of rows this
@@ -328,15 +329,25 @@ def _ladder(lo, hi, src, pts, prefer_right: bool) -> np.ndarray:
     return np.where(take_hi, hi, lo)
 
 
+def _sweep(beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray) -> list:
+    """One Bellman sweep: the best value at every grid point, per state."""
+    return [_greedy(stage + beta * continuation, costmat)[1] for stage in stages]
+
+
+def _policy(beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid) -> PolicyTable:
+    """The greedy moves against a continuation, with the module's tie-breaking."""
+    sigma = []
+    for s, stage in enumerate(stages):
+        idx, _ = _greedy(stage + beta * continuation, costmat, grid, prefer_right=(s == 1))
+        sigma.append(grid.points[idx])
+    return PolicyTable(grid=grid, sigma0=sigma[0], sigma1=sigma[1])
+
+
 def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable) -> ValueTable:
     """One synchronous sweep of the Bellman operator over the grid."""
-    costmat = _cost_matrix(cost, grid)
     continuation = params.pi * v.v1 + (1.0 - params.pi) * v.v0
-    new = []
-    for s in (0, 1):
-        base = _stage_vector(params, grid, s) + params.beta * continuation
-        new.append(_greedy(base, costmat)[1])
-    return ValueTable(grid=grid, v0=new[0], v1=new[1])
+    v0, v1 = _sweep(params.beta, _stages(params, grid), _cost_matrix(cost, grid), continuation)
+    return ValueTable(grid=grid, v0=v0, v1=v1)
 
 
 def solve_infinite(
@@ -355,34 +366,24 @@ def solve_infinite(
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     costmat = _cost_matrix(cost, grid)
-    stage = {s: _stage_vector(params, grid, s) for s in (0, 1)}
+    stages = _stages(params, grid)
     v0 = np.zeros(grid.n)
     v1 = np.zeros(grid.n)
     residual = math.inf
     iterations = 0
     while iterations < max_iter:
         continuation = params.pi * v1 + (1.0 - params.pi) * v0
-        new, changes = [], []
-        for s, old in ((0, v0), (1, v1)):
-            base = stage[s] + params.beta * continuation
-            _, fresh = _greedy(base, costmat)
-            changes.append(np.abs(fresh - old).max())
-            new.append(fresh)
-        v0, v1 = new
+        new0, new1 = _sweep(params.beta, stages, costmat, continuation)
         # np.max, unlike the builtin max(0.0, nan), lets a NaN through.
-        residual = float(np.max(changes))
+        residual = float(np.max([np.abs(new0 - v0).max(), np.abs(new1 - v1).max()]))
+        v0, v1 = new0, new1
         iterations += 1
         if residual <= tol:
             break
     continuation = params.pi * v1 + (1.0 - params.pi) * v0
-    policies = []
-    for s in (0, 1):
-        base = stage[s] + params.beta * continuation
-        idx, _ = _greedy(base, costmat, grid, prefer_right=(s == 1))
-        policies.append(grid.points[idx])
     return InfiniteHorizonSolution(
         value=ValueTable(grid=grid, v0=v0, v1=v1),
-        policy=PolicyTable(grid=grid, sigma0=policies[0], sigma1=policies[1]),
+        policy=_policy(params.beta, stages, costmat, continuation, grid),
         residual=residual,
         iterations=iterations,
         converged=residual <= tol,
@@ -440,16 +441,6 @@ class CostComparisonReport:
     violations: list[Violation]
 
 
-def _one_step_policy(params, cost, grid, continuation) -> PolicyTable:
-    costmat = _cost_matrix(cost, grid)
-    policies = []
-    for s in (0, 1):
-        base = _stage_vector(params, grid, s) + params.beta * continuation
-        idx, _ = _greedy(base, costmat, grid, prefer_right=(s == 1))
-        policies.append(grid.points[idx])
-    return PolicyTable(grid=grid, sigma0=policies[0], sigma1=policies[1])
-
-
 def compare_cost_technologies(
     params: ModelParams,
     cost_base: CostSpec,
@@ -478,8 +469,9 @@ def compare_cost_technologies(
     sol_base = solve_infinite(params, cost_base, grid, tol=tol, max_iter=max_iter)
     if mode == "fixed":
         continuation = params.pi * sol_base.value.v1 + (1.0 - params.pi) * sol_base.value.v0
-        policy_base = _one_step_policy(params, cost_base, grid, continuation)
-        policy_costlier = _one_step_policy(params, cost_costlier, grid, continuation)
+        stages = _stages(params, grid)
+        policy_base = _policy(params.beta, stages, _cost_matrix(cost_base, grid), continuation, grid)
+        policy_costlier = _policy(params.beta, stages, _cost_matrix(cost_costlier, grid), continuation, grid)
     else:
         policy_base = sol_base.policy
         policy_costlier = solve_infinite(params, cost_costlier, grid, tol=tol, max_iter=max_iter).policy

@@ -13,10 +13,11 @@ values by plugging the opponent's newly computed policy. The waiting
 values are the whole state of that map, so the recursion can stop
 early without changing its result. An early-stop residual detects
 stationarity (cycle period 1). For many cost levels the recursion
-instead enters an exact 2-cycle: once the waiting values equal those of
-two steps earlier bit for bit, the solver stops and returns the phase
-the full horizon would end on, the current step's tables if the steps
-left are even and the previous step's if odd (cycle period 2).
+instead enters an exact cycle: once the waiting values equal, bit for
+bit, those of P >= 2 steps earlier, every later step repeats one of the
+last P, so the solver steps on to the phase the full horizon would end
+on and stops there (cycle period P). A state that recurs one step later
+is left to the residual stop: the next step then moves nothing.
 
 B is A with the roles swapped. In state s, B's problem is A's problem in
 state s reflected through p -> 1 - p, at any pi: B's stage and waiting
@@ -33,6 +34,7 @@ re-solves all four movers independently and does not use the mirror.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -153,9 +155,9 @@ class MpeSolution:
     horizon_used: int
     residual: float
     converged: bool
-    # 1 for the residual stop, 2 for an exact 2-cycle, None if the horizon ran out.
+    # 1 for the residual stop, P >= 2 for an exact P-cycle, None if the horizon ran out.
     cycle_period: int | None = None
-    # First step whose waiting values recur two steps later (2-cycle only).
+    # First step whose waiting values recur P steps later (exact cycle only).
     cycle_entered_at: int | None = None
 
     def mover_values(self, elite: str, s: int) -> np.ndarray:
@@ -196,10 +198,10 @@ def mpe_solve(
     reflected through p -> 1 - p (see the module docstring), which needs
     a mirror-closed grid such as build_grid makes. Stops as soon as every
     value table moves by at most residual_tol in sup norm (cycle period
-    1), or as soon as the waiting values repeat those of two steps
-    earlier bit for bit (period 2): the waiting values are the whole
-    state of the recursion, so every later step would repeat one of the
-    last two, and the one the full horizon would end on is returned.
+    1). The waiting values are the whole state of the recursion: once they
+    repeat those of P >= 2 steps earlier bit for bit, every later step
+    repeats one of the last P, so the solver runs on past the repeat to the
+    horizon's phase and returns its tables and residual (cycle period P).
     Exhausting the horizon with a larger residual flags the solution as
     non-converged.
     """
@@ -224,9 +226,9 @@ def mpe_solve(
     policy_idx = [np.arange(grid.n), np.arange(grid.n)]
     residual = math.inf
     cycle_period = cycle_entered_at = None
-    previous = earlier_u = None  # A's tables of the last step, its waiting values of the one before
-    steps = 0
-    while steps < horizon:
+    seen = {}  # digest of A's waiting values -> the first step that left them
+    steps, end = 0, horizon
+    while steps < end:
         new_v, new_idx, changes = [], [], []
         for s in (0, 1):
             base = stage[s] + beta * u
@@ -242,24 +244,21 @@ def mpe_solve(
             prob = pi if s == 1 else 1.0 - pi
             fresh = fresh + prob * (waiting_stage[s][landing] + beta * continuation[landing])
         changes.append(np.abs(fresh - u).max())
-        earlier_u = previous[1] if previous else None
-        previous = (v, u, policy_idx)
         v, u, policy_idx = new_v, fresh, new_idx
         steps += 1
         # B's changes mirror A's and have the same sup norm. np.max, unlike
         # the builtin max(0.0, nan), lets a NaN through.
         residual = float(np.max(changes))
         if residual <= residual_tol:
-            cycle_period = 1
+            cycle_period, cycle_entered_at = 1, None
             break
-        if earlier_u is not None and np.array_equal(u, earlier_u):
-            # Later steps repeat the last two in turn: an odd number of steps
-            # left ends on the previous step's tables. The residual between
-            # consecutive steps is the same in both phases.
-            cycle_period, cycle_entered_at = 2, steps - 2
-            if (horizon - steps) % 2:
-                v, u, policy_idx = previous
-            break
+        if cycle_period is None:
+            # Equal bytes, equal future; np.array_equal would equate -0.0 and 0.0.
+            first = seen.setdefault(hashlib.sha256(u.tobytes()).digest(), steps)
+            if steps - first >= 2:
+                # The next step's residual is the cycle's one not yet seen.
+                cycle_period, cycle_entered_at = steps - first, first
+                end = min(horizon, steps + 1 + (horizon - steps - 1) % cycle_period)
     return MpeSolution(
         grid=grid,
         vA0=v[0],

@@ -4,10 +4,13 @@ This is the loop `two_elite.mpe_solve` ran before it solved elite A alone
 and read B's tables off by reflection through p -> 1 - p: every step
 solves all four movers (per column, with the tie ladder of
 `tie_reference`) and refreshes both waiting values from the opponent's
-policy. `mpe_reference` stops on the residual or at the exact 2-cycle in
-the same way as `mpe_solve`, and tests compare every `MpeSolution` field
-against it bit for bit.
+policy. It runs to the horizon with no early exit but the residual stop,
+and reads the cycle fields off the whole history afterwards, so the
+tests that compare `mpe_solve` with it check the solver's exact-cycle
+stop rather than repeat it.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -64,37 +67,61 @@ def reference_steps(params, cost, grid):
         yield v, u, idx, float(np.max(changes))
 
 
-def mpe_reference(params, cost, grid, horizon=600, residual_tol=1e-10):
-    cycle_period = cycle_entered_at = None
-    recent = []  # (v, u, idx) of the last three steps
-    for steps, (v, u, idx, residual) in enumerate(reference_steps(params, cost, grid), start=1):
-        recent = recent[-2:] + [(v, u, idx)]
-        if residual <= residual_tol:
-            cycle_period = 1
-            break
-        if len(recent) == 3 and all(np.array_equal(u[e], recent[0][1][e]) for e in ELITES):
-            cycle_period, cycle_entered_at = 2, steps - 2
-            if (horizon - steps) % 2:
-                v, u, idx = recent[1]
-            break
-        if steps == horizon:
-            break
+def reference_history(params, cost, grid, horizon, residual_tol=1e-10):
+    """Plain backward induction: the MpeSolution after every step.
+
+    Runs to the horizon, or to the first step whose residual is at most
+    residual_tol, with no other early exit. The cycle fields are left unset.
+    """
     pts = grid.points
-    return MpeSolution(
-        grid=grid,
-        vA0=v[("A", 0)],
-        vA1=v[("A", 1)],
-        uA=u["A"],
-        vB0=v[("B", 0)],
-        vB1=v[("B", 1)],
-        uB=u["B"],
-        sigmaA0=pts[idx[("A", 0)]],
-        sigmaA1=pts[idx[("A", 1)]],
-        sigmaB0=pts[idx[("B", 0)]],
-        sigmaB1=pts[idx[("B", 1)]],
-        horizon_used=steps,
-        residual=residual,
-        converged=residual <= residual_tol,
-        cycle_period=cycle_period,
-        cycle_entered_at=cycle_entered_at,
-    )
+    history = []
+    for steps, (v, u, idx, residual) in enumerate(reference_steps(params, cost, grid), start=1):
+        history.append(
+            MpeSolution(
+                grid=grid,
+                vA0=v[("A", 0)],
+                vA1=v[("A", 1)],
+                uA=u["A"],
+                vB0=v[("B", 0)],
+                vB1=v[("B", 1)],
+                uB=u["B"],
+                sigmaA0=pts[idx[("A", 0)]],
+                sigmaA1=pts[idx[("A", 1)]],
+                sigmaB0=pts[idx[("B", 0)]],
+                sigmaB1=pts[idx[("B", 1)]],
+                horizon_used=steps,
+                residual=residual,
+                converged=residual <= residual_tol,
+            )
+        )
+        if residual <= residual_tol or steps == horizon:
+            return history
+
+
+def first_repeat(history):
+    """(entered, period) of the first step whose state recurs P >= 2 steps later.
+
+    The state is both elites' waiting values, compared as arrays. Returns
+    None when no state in the history recurs that way.
+    """
+    uA = np.array([sol.uA for sol in history])
+    uB = np.array([sol.uB for sol in history])
+    for j in range(2, len(history)):
+        earlier = np.flatnonzero((uA[: j - 1] == uA[j]).all(axis=1) & (uB[: j - 1] == uB[j]).all(axis=1))
+        if earlier.size:
+            # history[i] holds step i + 1
+            return int(earlier[0]) + 1, j - int(earlier[0])
+    return None
+
+
+def mpe_reference(params, cost, grid, horizon=600, residual_tol=1e-10):
+    """The last step of reference_history, with the cycle fields it shows."""
+    history = reference_history(params, cost, grid, horizon, residual_tol)
+    last = history[-1]
+    if last.converged:
+        return dataclasses.replace(last, cycle_period=1)
+    repeat = first_repeat(history)
+    if repeat is None:
+        return last
+    entered, period = repeat
+    return dataclasses.replace(last, cycle_period=period, cycle_entered_at=entered)

@@ -11,7 +11,6 @@ from polarsolve.model import (
     delta_threshold,
     evaluate_cost,
     implemented_policy,
-    polarization_indices,
     stage_payoff,
 )
 
@@ -101,22 +100,6 @@ def test_stage_payoff():
     assert stage_payoff(0, 0.5, 1.0) == 1.0  # mover takes its pick at the knife edge
     assert stage_payoff(1, 0.2, 1.0) == 0.0
     assert stage_payoff(0, 0.2, 2.5) == 2.5
-
-
-def test_polarization_examples():
-    report = polarization_indices(0.5)
-    assert (report.distance_index, report.variance_index) == (0.5, 0.25)
-    report = polarization_indices(1.0)
-    assert (report.distance_index, report.variance_index) == (0.0, 0.0)
-    report = polarization_indices(0.25)
-    assert (report.distance_index, report.variance_index) == (0.25, 0.1875)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_polarization_variance_identity(p):
-    report = polarization_indices(p)
-    assert abs(report.variance_index - (0.25 - (p - 0.5) ** 2)) <= 1e-15
-    assert 0.0 <= report.distance_index <= 0.5
 
 
 def test_cost_dominates():

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import polarsolve as ps
 from polarsolve.cli import main
@@ -250,6 +253,60 @@ def test_cli_non_finite_override_exits_2_without_artifacts(tmp_path, capsys, ove
     assert code == 2
     assert override.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-mpe", "--override", "H=1e308", "--override", "grid_n=11"],
+        ["solve-single", "--override", "H=1e308", "--override", "grid_n=11"],
+        ["solve-single2p", "--override", "H=1e308", "--override", "grid_n=11"],
+        # each value is fine against the base beta = 0.9; 1.7e307 / (1 - 0.95) is not
+        ["sweep", "--override", "solver=solve-mpe", "--override", "grid_n=11",
+         "--override", "sweep.H=1, 1.7e307", "--override", "sweep.beta=0.5, 0.95"],
+    ],
+)
+def test_cli_overflowing_value_bound_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_largest_finite_value_bound_solves(tmp_path):
+    # H / (1 - beta) = 1.79e308, just inside the float range
+    argv = ["solve-mpe", "--out", str(tmp_path), "--override", "H=1.79e307", "--override", "grid_n=11"]
+    assert main(argv) == 0
+    for column in read_table_csv(tmp_path / "value.csv").values():
+        assert np.isfinite(column).all()
+
+
+@settings(max_examples=40, deadline=None)
+@example(experiment="solve-single", pi=0.5, beta=0.9, H=1e308, k=10.0, grid_n=11)
+@example(experiment="solve-mpe", pi=0.5, beta=0.9, H=1e308, k=10.0, grid_n=11)
+@given(
+    experiment=st.sampled_from(["solve-single", "solve-mpe"]),
+    pi=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    H=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    k=st.floats(min_value=0.0, allow_infinity=False),
+    grid_n=st.integers(min_value=1, max_value=10).map(lambda m: 2 * m + 1),
+)
+def test_cli_in_range_config_solves_finite_or_exits_2(experiment, pi, beta, H, k, grid_n):
+    # finite tables (exit 0, or 3 for a solve that did not converge), or a
+    # config the value bound rejects up front; never inf or NaN written out
+    with tempfile.TemporaryDirectory() as out:
+        argv = [experiment, "--out", out]
+        for key, value in {"pi": pi, "beta": beta, "H": H, "k": k, "grid_n": grid_n}.items():
+            argv += ["--override", f"{key}={value!r}"]
+        code = main(argv)
+        if code == 2:
+            assert not math.isfinite(H / (1.0 - beta))
+            return
+        assert code in (0, 3)
+        for name in ("value.csv", "policy.csv"):
+            for column in read_table_csv(Path(out) / name).values():
+                assert np.isfinite(column).all(), name
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
 from polarsolve.two_elite import MpeSolution
-from mpe_reference import mpe_reference, reference_steps
+from mpe_reference import first_repeat, mpe_reference, reference_history
 
 PARAMS = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
 QUAD10 = ps.CostSpec.quadratic(10.0)
@@ -151,11 +151,20 @@ def test_mpe_mirror_identities(pi):
 
 def assert_same_solution(got, want):
     for field in dataclasses.fields(MpeSolution):
+        if field.name == "horizon_used":
+            continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), field.name
         else:
             assert a == b, field.name
+    period, entered = want.cycle_period, want.cycle_entered_at
+    if period is not None and period >= 2:
+        # The reference runs on past an exact cycle to the horizon; mpe_solve
+        # stops one to two periods after the cycle is entered.
+        assert entered + period <= got.horizon_used <= min(want.horizon_used, entered + 2 * period)
+    else:
+        assert got.horizon_used == want.horizon_used
 
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 10.0, 200.0])
@@ -194,38 +203,26 @@ def test_mpe_value_bounds():
 MPE_TABLES = ("vA0", "vA1", "uA", "vB0", "vB1", "uB", "sigmaA0", "sigmaA1", "sigmaB0", "sigmaB1")
 
 
-def plain_backward_induction(params, cost, grid, horizon):
-    """Backward induction with neither early exit; tables after every step."""
-    pts = grid.points
-    history = []
-    for v, u, idx, residual in itertools.islice(reference_steps(params, cost, grid), horizon):
-        tables = {f"v{e}{s}": v[(e, s)] for e, s in v} | {"uA": u["A"], "uB": u["B"]}
-        tables |= {f"sigma{e}{s}": pts[idx[(e, s)]] for e, s in idx}
-        history.append((tables, residual))
-    return history
-
-
-@pytest.mark.parametrize("k", [0.5, 10.0])
-def test_mpe_cycle_stop_matches_full_horizon(k):
+@pytest.mark.parametrize(
+    "pi, k, period", [(0.5, 0.5, 2), (0.5, 10.0, 2), (0.7, 10.0, 19), (0.9, 10.0, 5)]
+)
+def test_mpe_cycle_stop_matches_full_horizon(pi, k, period):
+    params = ps.ModelParams(pi=pi, beta=0.9, H=1.0)
     grid = ps.build_grid(51)
     cost = ps.CostSpec.quadratic(k)
-    history = plain_backward_induction(PARAMS, cost, grid, 200)
-    for horizon in (200, 199):
-        sol = ps.mpe_solve(PARAMS, cost, grid, horizon=horizon)
-        tables, residual = history[horizon - 1]
+    # no residual stop either: every step of a plain loop to the longest horizon
+    history = reference_history(params, cost, grid, 260, residual_tol=-1.0)
+    # every residue modulo the period, counted back from the longest horizon
+    for horizon in range(260, 260 - period - 1, -1):
+        sol = ps.mpe_solve(params, cost, grid, horizon=horizon)
+        want = history[horizon - 1]
         for name in MPE_TABLES:
-            assert np.array_equal(getattr(sol, name), tables[name]), name
-        assert sol.residual == residual
-        assert sol.horizon_used < horizon
-        assert sol.cycle_period == 2
+            assert np.array_equal(getattr(sol, name), getattr(want, name)), name
+        assert sol.residual == want.residual
         assert not sol.converged
-        # history[j] holds step j + 1; the state of step e recurs at step e + 2
-        entered = sol.cycle_entered_at
-        recurs = [
-            all(np.array_equal(history[j + 1][0][u], history[j - 1][0][u]) for u in ("uA", "uB"))
-            for j in (entered - 1, entered)
-        ]
-        assert recurs == [False, True]
+        assert (sol.cycle_entered_at, sol.cycle_period) == first_repeat(history[:horizon])
+        assert sol.cycle_period == period
+        assert sol.horizon_used < horizon
 
 
 def test_mpe_high_cost_stops_by_residual():
