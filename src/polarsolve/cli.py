@@ -45,18 +45,15 @@ def main(argv=None) -> int:
             config = load_config(args.config)
         else:
             config = ExperimentConfig()
+        config = apply_overrides(config, args.override)
         if config.experiment and config.experiment != args.command:
             raise ConfigError(
                 "experiment",
                 f"config requests {config.experiment!r} but the {args.command!r} subcommand was invoked",
             )
         config = replace(config, experiment=args.command)
-        config = apply_overrides(config, args.override)
         result = run_config(config, out_dir=args.out)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     print(f"{args.command}: exit {result.exit_code}, artifacts in {result.out_dir}")

@@ -12,9 +12,10 @@ code 2 with a one-line diagnostic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 EXPERIMENTS = (
     "solve-single2p",
@@ -67,11 +68,10 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ORACLE_CHECKS
     output_dir: str = "out"
 
-    def resolved_grid_n(self, experiment: str | None = None) -> int:
+    def resolved_grid_n(self) -> int:
         if self.grid_n is not None:
             return self.grid_n
-        exp = experiment or self.experiment
-        return DEFAULT_GRID_N_MPE if exp == "solve-mpe" else DEFAULT_GRID_N
+        return DEFAULT_GRID_N_MPE if self.experiment == "solve-mpe" else DEFAULT_GRID_N
 
 
 def _parse_float(name, raw, line):
@@ -155,8 +155,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError("config", f"cannot read {str(path)!r}: {err}") from None
+    return parse_config(text)
 
 
 def apply_overrides(config: ExperimentConfig, overrides) -> ExperimentConfig:
@@ -187,18 +191,26 @@ def _check_dense_memory(name: str, n: int) -> None:
         )
 
 
-def _check_value_bound(H: float, beta: float) -> None:
-    """Reject payoffs whose discounted sum would overflow float64.
+def sweep_combinations(config: ExperimentConfig):
+    """Yield (values, solver_config) for each combination of a sweep's axes.
 
-    Every value table a solver writes is bounded by H / (1 - beta); past
-    the float range the tables would be written as inf.
+    Combinations come in itertools.product order, the first axis slowest;
+    each solver_config is the sweep config with its solver as the
+    experiment, the combination's values set, and no sweep keys.
     """
-    if not math.isfinite(H / (1.0 - beta)):
-        raise ConfigError("H", f"H / (1 - beta) = {H} / {1.0 - beta} overflows float64")
+    names = [name for name, _ in config.sweep_axes]
+    base = replace(config, experiment=config.solver, solver="", sweep_axes=())
+    for values in itertools.product(*(values for _, values in config.sweep_axes)):
+        yield values, replace(base, **dict(zip(names, values)))
 
 
 def validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Range-check every field against its target type's invariants."""
+    """Range-check every field against its target type's invariants.
+
+    A sweep is checked as a whole and then, combination by combination,
+    as its solver's own config, so a bad combination fails before any
+    combination writes artifacts. Only a sweep may name a solver or axes.
+    """
     if config.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {config.experiment!r}")
     for name in ("pi", "beta", "H", "k", "tol"):
@@ -212,7 +224,10 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("H", f"must be positive, got {config.H}")
     if config.k < 0.0:
         raise ConfigError("k", f"must be non-negative, got {config.k}")
-    _check_value_bound(config.H, config.beta)
+    # Every value table a solver writes is bounded by H / (1 - beta); past
+    # the float range the tables would be written as inf.
+    if not math.isfinite(config.H / (1.0 - config.beta)):
+        raise ConfigError("H", f"H / (1 - beta) = {config.H} / {1.0 - config.beta} overflows float64")
     grid_n = config.resolved_grid_n()
     if grid_n < 3 or grid_n % 2 == 0:
         raise ConfigError("grid_n", f"must be odd and at least 3, got {grid_n}")
@@ -231,22 +246,17 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("solver", "sweep configs must name a solver experiment")
         if not config.sweep_axes:
             raise ConfigError("sweep_axes", "sweep configs need at least one sweep.<param> axis")
-        # Each axis value must pass as the solver's own config would, so a
-        # bad value fails before any combination writes artifacts.
-        solver_config = replace(config, experiment=config.solver, solver="", sweep_axes=())
-        combos = 1
-        for name, values in config.sweep_axes:
-            for value in values:
-                validate(replace(solver_config, **{name: value}))
-            combos *= len(values)
-        # Each value passed against the base config; the largest H and beta
-        # may still overflow together.
-        axes = dict(config.sweep_axes)
-        _check_value_bound(max(axes.get("H", [config.H])), max(axes.get("beta", [config.beta])))
+        combos = math.prod(len(values) for _, values in config.sweep_axes)
         if combos > config.sweep_cap:
             raise ConfigError(
                 "sweep_axes", f"{combos} combinations exceed the cap of {config.sweep_cap}"
             )
+        for _, solver_config in sweep_combinations(config):
+            validate(solver_config)
+    elif config.solver:
+        raise ConfigError("solver", "only a sweep config names a solver")
+    elif config.sweep_axes:
+        raise ConfigError("sweep_axes", "only a sweep config has sweep.<param> axes")
     if config.experiment == "oracle-check":
         if config.scan_n < 2:
             raise ConfigError("scan_n", f"must be at least 2, got {config.scan_n}")
@@ -265,22 +275,4 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
 
 def config_as_dict(config: ExperimentConfig) -> dict:
     """Stable, JSON-friendly echo of a resolved config."""
-    return {
-        "experiment": config.experiment,
-        "pi": config.pi,
-        "beta": config.beta,
-        "H": config.H,
-        "cost": config.cost,
-        "k": config.k,
-        "grid_n": config.resolved_grid_n(),
-        "horizon": config.horizon,
-        "tol": config.tol,
-        "max_iter": config.max_iter,
-        "solver": config.solver,
-        "sweep_axes": [[name, list(values)] for name, values in config.sweep_axes],
-        "sweep_cap": config.sweep_cap,
-        "scan_n": config.scan_n,
-        "oracle_n": config.oracle_n,
-        "checks": list(config.checks),
-        "output_dir": config.output_dir,
-    }
+    return {**asdict(config), "grid_n": config.resolved_grid_n()}

@@ -10,19 +10,18 @@ manifest's diagnostics block.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import oracle as oracle_mod
-from .config import ConfigError, ExperimentConfig, config_as_dict, validate
+from .config import ConfigError, ExperimentConfig, config_as_dict, sweep_combinations, validate
 from .grids import build_grid
 from .model import CostSpec, ModelParams, evaluate_cost, stage_payoff
 from .single_elite import (
@@ -117,21 +116,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, config: ExperimentConfig, diagnostics: dict, artifacts: list[Path]) -> dict:
+def _write_json(path: Path, data) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _finish(
+    config: ExperimentConfig, out_dir: Path, diagnostics: dict, artifacts: list[str], exit_code: int = EXIT_OK
+) -> RunResult:
+    """Write the manifest over the artifacts (paths relative to out_dir) and wrap the result."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
         "experiment": config.experiment,
         "config": config_as_dict(config),
         "diagnostics": diagnostics,
-        "artifacts": [
-            {"path": str(p.relative_to(out_dir)), "sha256": _sha256(p)} for p in artifacts
-        ],
+        "artifacts": [{"path": name, "sha256": _sha256(out_dir / name)} for name in artifacts],
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return manifest
+    _write_json(out_dir / "manifest.json", manifest)
+    return RunResult(exit_code, out_dir, manifest)
 
 
 def _model_inputs(config: ExperimentConfig):
@@ -162,11 +164,8 @@ def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
         "residual": sol.residual,
         "converged": sol.converged,
     }
-    manifest = _write_manifest(
-        out_dir, config, diagnostics, [out_dir / "policy.csv", out_dir / "value.csv"]
-    )
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
-    return RunResult(code, out_dir, manifest)
+    return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv"], code)
 
 
 def _period1_record(p: float, s: int, sol) -> dict:
@@ -213,17 +212,9 @@ def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, record) -> R
     table = ValueTable(grid=grid, v0=value[0], v1=value[1])
     emit_policy_csv(policy, out_dir / "policy.csv")
     emit_value_csv(table, out_dir / "value.csv")
-    (out_dir / "candidates.json").write_text(
-        json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "candidates.json", records)
     diagnostics = {"wall_time_s": elapsed, "points": grid.n}
-    manifest = _write_manifest(
-        out_dir,
-        config,
-        diagnostics,
-        [out_dir / "policy.csv", out_dir / "value.csv", out_dir / "candidates.json"],
-    )
-    return RunResult(EXIT_OK, out_dir, manifest)
+    return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv", "candidates.json"])
 
 
 # The solve functions are looked up when a run starts, not bound here, so
@@ -257,10 +248,7 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
         "cycle_entered_at": sol.cycle_entered_at,
         "no_deviation_gain": check_no_deviation(params, cost, sol),
     }
-    manifest = _write_manifest(
-        out_dir, config, diagnostics, [out_dir / "policy.csv", out_dir / "value.csv"]
-    )
-    return RunResult(EXIT_OK, out_dir, manifest)
+    return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv"])
 
 
 def _default_workers() -> int:
@@ -277,50 +265,37 @@ def _default_workers() -> int:
 
 
 def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    axes = config.sweep_axes
-    names = [name for name, _ in axes]
-    combos = list(itertools.product(*(values for _, values in axes)))
+    names = [name for name, _ in config.sweep_axes]
+    combos = list(enumerate(sweep_combinations(config)))
     start = time.perf_counter()
 
     def run_one(item):
-        index, combo = item
-        sub_dir = out_dir / f"combo_{index:03d}"
-        sub = replace(config, experiment=config.solver, sweep_axes=(), solver="")
-        for name, value in zip(names, combo):
-            if name in ("grid_n", "horizon"):
-                sub = replace(sub, **{name: int(value)})
-            else:
-                sub = replace(sub, **{name: float(value)})
-        result = run_config(sub, sub_dir)
-        return index, combo, result
+        index, (_, solver_config) = item
+        return run_config(solver_config, out_dir / f"combo_{index:03d}")
 
     workers = min(_default_workers(), max(1, len(combos)))
     if workers == 1:
-        results = [run_one(item) for item in enumerate(combos)]
+        results = [run_one(item) for item in combos]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, enumerate(combos)))
+            results = list(pool.map(run_one, combos))
     lines = [",".join(["combo"] + names + ["dir", "policy_csv", "value_csv"])]
-    worst = EXIT_OK
-    for index, combo, result in results:
+    artifacts = ["index.csv"]
+    for (index, (values, _)), result in zip(combos, results):
         rel = result.out_dir.relative_to(out_dir)
         lines.append(
             ",".join(
                 [f"{index:03d}"]
-                + [repr(v) for v in combo]
+                + [repr(v) for v in values]
                 + [str(rel), str(rel / "policy.csv"), str(rel / "value.csv")]
             )
         )
-        worst = max(worst, result.exit_code)
+        artifacts += [str(rel / entry["path"]) for entry in result.manifest["artifacts"]]
     (out_dir / "index.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     elapsed = time.perf_counter() - start
-    artifacts = [out_dir / "index.csv"]
-    for index, _, result in results:
-        for entry in result.manifest["artifacts"]:
-            artifacts.append(result.out_dir / entry["path"])
     diagnostics = {"wall_time_s": elapsed, "combinations": len(combos)}
-    manifest = _write_manifest(out_dir, config, diagnostics, artifacts)
-    return RunResult(worst, out_dir, manifest)
+    worst = max((result.exit_code for result in results), default=EXIT_OK)
+    return _finish(config, out_dir, diagnostics, artifacts, worst)
 
 
 def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
@@ -393,12 +368,9 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
         ok = ok and passed
     elapsed = time.perf_counter() - start
     report["passed"] = ok
-    (out_dir / "oracle_check.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "oracle_check.json", report)
     diagnostics = {"wall_time_s": elapsed}
-    manifest = _write_manifest(out_dir, config, diagnostics, [out_dir / "oracle_check.json"])
-    return RunResult(EXIT_OK if ok else EXIT_CHECK_FAILED, out_dir, manifest)
+    return _finish(config, out_dir, diagnostics, ["oracle_check.json"], EXIT_OK if ok else EXIT_CHECK_FAILED)
 
 
 _RUNNERS = {

@@ -5,6 +5,7 @@ from polarsolve.config import (
     ExperimentConfig,
     apply_overrides,
     parse_config,
+    sweep_combinations,
     validate,
 )
 
@@ -131,3 +132,23 @@ def test_bad_sweep_values_rejected_up_front(axis):
     with pytest.raises(ConfigError) as err:
         validate(parse_config(f"experiment = sweep\nsolver = solve-single\n{axis}\n"))
     assert err.value.field == axis.split()[0][len("sweep."):]
+
+
+def test_sweep_combinations_follow_product_order():
+    config = parse_config(
+        "experiment = sweep\nsolver = solve-mpe\nsweep.beta = 0.5, 0.9\nsweep.grid_n = 11, 21\nk = 0\n"
+    )
+    combos = list(sweep_combinations(config))
+    assert [values for values, _ in combos] == [(0.5, 11), (0.5, 21), (0.9, 11), (0.9, 21)]
+    for (beta, grid_n), solver_config in combos:
+        assert solver_config == ExperimentConfig(
+            experiment="solve-mpe", beta=beta, grid_n=grid_n, k=0.0
+        )
+
+
+def test_sweep_cap_reported_before_bad_values():
+    # the cap is checked on the product's size, before any combination is built
+    text = "experiment = sweep\nsolver = solve-single\nsweep.k = 1, -1, 3, 4\nsweep_cap = 3\n"
+    with pytest.raises(ConfigError) as err:
+        validate(parse_config(text))
+    assert err.value.field == "sweep_axes" and "exceed" in str(err.value)

@@ -239,9 +239,43 @@ def test_cli_wrong_subcommand_for_config(tmp_path, capsys):
     assert "experiment" in capsys.readouterr().err
 
 
-def test_cli_missing_config_file(tmp_path, capsys):
-    code = main(["solve-single", "--config", str(tmp_path / "nope.cfg")])
+def test_cli_experiment_override_must_match_subcommand(tmp_path, capsys):
+    # an override is held to the subcommand exactly as a config file is
+    config = tmp_path / "mpe.cfg"
+    config.write_text("experiment = solve-mpe\n")
+    assert main(["solve-single", "--config", str(config), "--out", str(tmp_path / "a")]) == 2
+    from_file = capsys.readouterr().err
+    argv = ["solve-single", "--out", str(tmp_path / "b"), "--override", "experiment=solve-mpe",
+            "--override", "grid_n=11"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == from_file
+    assert "'solve-mpe'" in from_file and "'solve-single'" in from_file
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "invalid-utf8"])
+def test_cli_missing_config_file(tmp_path, capsys, kind):
+    path = tmp_path / "config.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "invalid-utf8":
+        path.write_bytes(b"experiment = solve-single\ngrid_n = 11\xff\n")
+    code = main(["solve-single", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, field", [("sweep.k=1, 2", "sweep_axes"), ("solver=solve-mpe", "solver")]
+)
+def test_cli_sweep_keys_outside_a_sweep_exit_2_without_artifacts(tmp_path, capsys, override, field):
+    out = tmp_path / "out"
+    argv = ["solve-single", "--out", str(out), "--override", override, "--override", "grid_n=11"]
+    assert main(argv) == 2
+    assert f"field {field!r}: only a sweep config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ["k=inf", "H=inf", "tol=nan"])
@@ -356,3 +390,7 @@ def test_artifacts_match_golden_digests(tmp_path, run):
     assert main(argv) == 0
     for name, digest in run["sha256"].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    # manifests carry wall times in their diagnostics; everything else is pinned
+    for name, digest in run["manifest_sha256"].items():
+        echo = json.dumps(manifest_without_diagnostics(tmp_path / name), sort_keys=True)
+        assert hashlib.sha256(echo.encode()).hexdigest() == digest, name
