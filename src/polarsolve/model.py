@@ -1,6 +1,6 @@
 """Model primitives: parameters, persuasion costs, majority rule, payoffs.
 
-Everything downstream (two-period solvers, value iteration, the two-elite
+Everything downstream (two-period solvers, the Bellman fixed point, the two-elite
 game) is built from the handful of objects defined here. All types are
 immutable after construction and all functions are pure, so they are safe
 to share across solver runs.

@@ -33,7 +33,7 @@ from .single_elite import (
 )
 from .two_elite import MpeSolution, check_no_deviation, mpe_solve, stackelberg_solve
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 TOOL_VERSION = __version__
 
 EXIT_OK = 0
@@ -154,15 +154,18 @@ def _candidate_record(evaluation) -> dict:
 def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
     params, cost, grid = _model_inputs(config)
     start = time.perf_counter()
-    sol = solve_infinite(params, cost, grid, tol=config.tol, max_iter=config.max_iter)
+    sol = solve_infinite(params, cost, grid, max_iter=config.max_iter)
     elapsed = time.perf_counter() - start
     emit_policy_csv(sol.policy, out_dir / "policy.csv")
     emit_value_csv(sol.value, out_dir / "value.csv")
     diagnostics = {
         "wall_time_s": elapsed,
         "iterations": sol.iterations,
+        "evaluation_sweeps": sol.evaluation_sweeps,
         "residual": sol.residual,
         "converged": sol.converged,
+        "min_margin": sol.min_margin,
+        "exact_ties": sol.exact_ties,
     }
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
     return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv"], code)

@@ -2,8 +2,9 @@
 
 Covers the exact two-period problem (closed-form second-period policy,
 four-candidate first-period choice), the infinite-horizon Bellman system
-solved by value iteration on a grid, property verification for the
-converged tables, and the cost-technology comparison.
+solved to the bitwise fixed point of its float operator on a grid,
+property verification for the converged tables, and the cost-technology
+comparison.
 
 Choices in the iterative solvers are restricted to grid points: the
 majority-rule payoff jumps at 1/2 and interpolating across the threshold
@@ -98,11 +99,23 @@ class PolicyTable:
 
 @dataclass(frozen=True)
 class InfiniteHorizonSolution:
+    """Tables of solve_infinite and how they were reached.
+
+    iterations counts dense Bellman sweeps and evaluation_sweeps the O(n)
+    policy-evaluation sweeps between them. min_margin is the smallest gap
+    between a source's best and runner-up destination scores, over the
+    sources (both states) whose best is not an exact tie; None when every
+    source ties. exact_ties counts the sources the tie ladder settled.
+    """
+
     value: ValueTable
     policy: PolicyTable
     residual: float
     iterations: int
     converged: bool
+    evaluation_sweeps: int
+    min_margin: float | None
+    exact_ties: int
 
 
 @dataclass(frozen=True)
@@ -259,16 +272,24 @@ def _stages(params: ModelParams, grid: Grid) -> list:
 _BLOCK_BYTES = 256 * 1024
 
 
-def _greedy(base: np.ndarray, costmat: np.ndarray, grid: Grid | None = None, prefer_right: bool = False):
+def _greedy(
+    base: np.ndarray,
+    costmat: np.ndarray,
+    grid: Grid | None = None,
+    prefer_right: bool = False,
+    gap: np.ndarray | None = None,
+):
     """Per source i, the best destination j of base[j] - costmat[i, j].
 
     Returns (idx, best). Without a grid only the best values are
-    computed and idx is None (the value-iteration sweep). With one, ties
+    computed and idx is None (a plain Bellman sweep). With one, ties
     in the score go to the smallest movement |p' - p|, then to the point
     closest to 1/2, then to the mover's preferred side, then to the lower
     index. Only the nearest tied destination at or below the source and
     the nearest at or above it can win the first rung, so the ladder
-    compares just those two, for tied sources only.
+    compares just those two, for tied sources only. A gap array, given
+    with a grid, receives each source's best score minus its runner-up:
+    0 exactly where the ladder settled a tie.
 
     Sources are taken in blocks of rows of _BLOCK_BYTES, so no n x n
     array of scores is ever formed.
@@ -292,7 +313,10 @@ def _greedy(base: np.ndarray, costmat: np.ndarray, grid: Grid | None = None, pre
         best[start:stop] = block_best
         # A source is tied when its best score recurs with the argmax masked.
         scores[r, block_idx] = -np.inf
-        tied_rows = np.flatnonzero(scores.max(axis=1) == block_best)
+        runner_up = scores.max(axis=1)
+        if gap is not None:
+            np.subtract(block_best, runner_up, out=gap[start:stop])
+        tied_rows = np.flatnonzero(runner_up == block_best)
         if not tied_rows.size:
             continue
         scores[r, block_idx] = block_best
@@ -334,59 +358,130 @@ def _sweep(beta: float, stages: list, costmat: np.ndarray, continuation: np.ndar
     return [_greedy(stage + beta * continuation, costmat)[1] for stage in stages]
 
 
-def _policy(beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid) -> PolicyTable:
-    """The greedy moves against a continuation, with the module's tie-breaking."""
-    sigma = []
+def _greedy_step(
+    beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid, gaps=None
+):
+    """One Bellman sweep that also returns the greedy destination indices.
+
+    Returns (idx, best), one array per state, with the module's
+    tie-breaking; gaps, if given, has one row per state, filled as in _greedy.
+    """
+    idx, best = [], []
     for s, stage in enumerate(stages):
-        idx, _ = _greedy(stage + beta * continuation, costmat, grid, prefer_right=(s == 1))
-        sigma.append(grid.points[idx])
-    return PolicyTable(grid=grid, sigma0=sigma[0], sigma1=sigma[1])
+        gap = None if gaps is None else gaps[s]
+        i, b = _greedy(stage + beta * continuation, costmat, grid, prefer_right=(s == 1), gap=gap)
+        idx.append(i)
+        best.append(b)
+    return idx, best
+
+
+def _policy(
+    beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid, gaps=None
+) -> PolicyTable:
+    """The greedy moves against a continuation, with the module's tie-breaking."""
+    idx, _ = _greedy_step(beta, stages, costmat, continuation, grid, gaps)
+    return PolicyTable(grid=grid, sigma0=grid.points[idx[0]], sigma1=grid.points[idx[1]])
+
+
+def _continuation(pi: float, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """Expected next-period value of each landing point, before the state draws."""
+    return pi * v1 + (1.0 - pi) * v0
+
+
+def _change(new: list, old: list) -> float:
+    # np.max, unlike the builtin max(0.0, nan), lets a NaN through.
+    return float(np.max([np.abs(a - b).max() for a, b in zip(new, old)]))
+
+
+def _evaluate(params: ModelParams, stages: list, costmat: np.ndarray, idx: list, v: list) -> int:
+    """Sweep the tables under fixed destinations idx, in place, until the change stops shrinking.
+
+    Each sweep scores destination idx_s[i] exactly as a dense sweep
+    does, (stage_s + beta * w)[j] - costmat[i, j] with w the
+    continuation, but gathers it instead of maximising: O(n), not O(n^2).
+    The fixed-policy operator contracts by beta, so its change stops
+    shrinking only at the rounding level (or on a NaN). Returns the
+    number of sweeps.
+    """
+    beta, pi = params.beta, params.pi
+    rows = np.arange(costmat.shape[0])
+    stage_at = [stage[i] for stage, i in zip(stages, idx)]
+    move_cost = [costmat[rows, i] for i in idx]
+    sweeps = 0
+    last = math.inf
+    while True:
+        continuation = _continuation(pi, *v)
+        new = [st + beta * continuation[i] - mc for st, i, mc in zip(stage_at, idx, move_cost)]
+        sweeps += 1
+        change = _change(new, v)
+        v[:] = new
+        if not change < last:
+            return sweeps
+        last = change
 
 
 def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable) -> ValueTable:
     """One synchronous sweep of the Bellman operator over the grid."""
-    continuation = params.pi * v.v1 + (1.0 - params.pi) * v.v0
+    continuation = _continuation(params.pi, v.v0, v.v1)
     v0, v1 = _sweep(params.beta, _stages(params, grid), _cost_matrix(cost, grid), continuation)
     return ValueTable(grid=grid, v0=v0, v1=v1)
 
 
-def solve_infinite(
-    params: ModelParams,
-    cost: CostSpec,
-    grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> InfiniteHorizonSolution:
-    """Value iteration from zero until the sup-norm residual drops below tol.
+# A greedy step that moves no value by more than this many ulps of the
+# largest value has reached the rounding level of the float operator.
+_FEW_ULPS = 2
 
-    The greedy policy is extracted from the converged table with the
-    module's tie-breaking. Non-convergence within max_iter is flagged,
-    not raised; the best tables found are still returned.
+
+def solve_infinite(
+    params: ModelParams, cost: CostSpec, grid: Grid, max_iter: int = 10000
+) -> InfiniteHorizonSolution:
+    """The bitwise fixed point of the float Bellman operator, by modified policy iteration.
+
+    From zero tables, a dense greedy step (a Bellman sweep that keeps
+    its maximising destinations) alternates with O(n) sweeps that
+    evaluate those destinations (_evaluate). Once a greedy step moves no
+    value by more than _FEW_ULPS ulps, plain dense sweeps run until the
+    tables repeat bit for bit. Those are the tables that value iteration
+    from zero repeats at, so no tolerance enters the result. The policy
+    is extracted from them with the module's tie-breaking.
+
+    iterations counts dense sweeps and max_iter caps them. A solve that
+    reaches the cap without a repeat is flagged, not raised: it returns
+    the tables of its last dense sweep, whose sup-norm change is the
+    residual (0.0 at the fixed point).
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     costmat = _cost_matrix(cost, grid)
     stages = _stages(params, grid)
-    v0 = np.zeros(grid.n)
-    v1 = np.zeros(grid.n)
+    v = [np.zeros(grid.n), np.zeros(grid.n)]
     residual = math.inf
-    iterations = 0
+    iterations = evaluation_sweeps = 0
+    plain = False
     while iterations < max_iter:
-        continuation = params.pi * v1 + (1.0 - params.pi) * v0
-        new0, new1 = _sweep(params.beta, stages, costmat, continuation)
-        # np.max, unlike the builtin max(0.0, nan), lets a NaN through.
-        residual = float(np.max([np.abs(new0 - v0).max(), np.abs(new1 - v1).max()]))
-        v0, v1 = new0, new1
+        continuation = _continuation(params.pi, *v)
+        if plain:
+            new = _sweep(params.beta, stages, costmat, continuation)
+        else:
+            idx, new = _greedy_step(params.beta, stages, costmat, continuation, grid)
         iterations += 1
-        if residual <= tol:
+        residual = _change(new, v)
+        v = new
+        if residual == 0.0 or iterations == max_iter:
             break
-    continuation = params.pi * v1 + (1.0 - params.pi) * v0
+        plain = plain or residual <= _FEW_ULPS * np.spacing(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
+        if not plain:
+            evaluation_sweeps += _evaluate(params, stages, costmat, idx, v)
+    gaps = np.empty((2, grid.n))
+    policy = _policy(params.beta, stages, costmat, _continuation(params.pi, *v), grid, gaps)
+    untied = gaps[gaps > 0.0]
     return InfiniteHorizonSolution(
-        value=ValueTable(grid=grid, v0=v0, v1=v1),
-        policy=_policy(params.beta, stages, costmat, continuation, grid),
+        value=ValueTable(grid=grid, v0=v[0], v1=v[1]),
+        policy=policy,
         residual=residual,
         iterations=iterations,
-        converged=residual <= tol,
+        converged=residual == 0.0,
+        evaluation_sweeps=evaluation_sweeps,
+        min_margin=float(untied.min()) if untied.size else None,
+        exact_ties=int(np.count_nonzero(gaps == 0.0)),
     )
 
 
@@ -447,7 +542,6 @@ def compare_cost_technologies(
     cost_costlier: CostSpec,
     grid: Grid,
     mode: str = "resolved",
-    tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> CostComparisonReport:
     """Compare one-step moves under a cost technology and a costlier one.
@@ -466,15 +560,15 @@ def compare_cost_technologies(
     samples = np.linspace(0.0, 1.0, 201)
     if not cost_dominates(cost_costlier, cost_base, samples):
         raise ValueError("costlier technology does not cost-dominate the base")
-    sol_base = solve_infinite(params, cost_base, grid, tol=tol, max_iter=max_iter)
+    sol_base = solve_infinite(params, cost_base, grid, max_iter=max_iter)
     if mode == "fixed":
-        continuation = params.pi * sol_base.value.v1 + (1.0 - params.pi) * sol_base.value.v0
+        continuation = _continuation(params.pi, sol_base.value.v0, sol_base.value.v1)
         stages = _stages(params, grid)
         policy_base = _policy(params.beta, stages, _cost_matrix(cost_base, grid), continuation, grid)
         policy_costlier = _policy(params.beta, stages, _cost_matrix(cost_costlier, grid), continuation, grid)
     else:
         policy_base = sol_base.policy
-        policy_costlier = solve_infinite(params, cost_costlier, grid, tol=tol, max_iter=max_iter).policy
+        policy_costlier = solve_infinite(params, cost_costlier, grid, max_iter=max_iter).policy
     pts = grid.points
     mid = grid.mid
     slack = grid.step + 1e-12

@@ -32,7 +32,7 @@ def solved_single(k: float, H: float = 1.0, beta: float = 0.9) -> ps.InfiniteHor
     if key not in _SINGLE_CACHE:
         params = ps.ModelParams(pi=0.5, beta=beta, H=H)
         grid = ps.build_grid(1001)
-        _SINGLE_CACHE[key] = ps.solve_infinite(params, ps.CostSpec.quadratic(k), grid, tol=1e-10)
+        _SINGLE_CACHE[key] = ps.solve_infinite(params, ps.CostSpec.quadratic(k), grid)
     return _SINGLE_CACHE[key]
 
 

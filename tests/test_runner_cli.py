@@ -74,7 +74,13 @@ def test_solve_single_run_and_anchor(tmp_path):
     assert abs(cols["v_s0"][mid] - 10.0) <= 1e-6
     assert abs(cols["v_s1"][mid] - 10.0) <= 1e-6
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["diagnostics"]["converged"] is True
+    diagnostics = manifest["diagnostics"]
+    assert diagnostics["converged"] is True
+    assert diagnostics["residual"] == 0.0
+    # modified policy iteration: a few dense sweeps, many O(n) evaluation sweeps
+    assert 1 <= diagnostics["iterations"] < diagnostics["evaluation_sweeps"]
+    assert diagnostics["min_margin"] > 0.0
+    assert 0 <= diagnostics["exact_ties"] < 2 * 101
     import hashlib
 
     for entry in manifest["artifacts"]:
@@ -94,15 +100,25 @@ def test_runs_are_deterministic(tmp_path):
 
 
 def test_solve_single_nonconvergence_exit_code(tmp_path):
-    config = parse_config(
-        "experiment = solve-single\ngrid_n = 101\nmax_iter = 2\ntol = 1e-14\n"
-    )
+    config = parse_config("experiment = solve-single\ngrid_n = 101\nmax_iter = 3\n")
     result = run_config(config, tmp_path)
     assert result.exit_code == 3
     # outputs still written, manifest flags the failure
     assert (tmp_path / "policy.csv").exists()
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["diagnostics"]["converged"] is False
+    diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["converged"] is False
+    assert diagnostics["iterations"] == 3
+    assert diagnostics["residual"] > 0.0
+
+
+def test_cli_solve_single_tables_do_not_depend_on_tol(tmp_path):
+    tables = set()
+    for tol in ("1e-08", "1e-10", "1e-12"):
+        out = tmp_path / tol
+        argv = ["solve-single", "--out", str(out), "--override", "grid_n=101", "--override", f"tol={tol}"]
+        assert main(argv) == 0
+        tables.add(((out / "policy.csv").read_bytes(), (out / "value.csv").read_bytes()))
+    assert len(tables) == 1
 
 
 def test_solve_mpe_run_zero_cost(tmp_path):

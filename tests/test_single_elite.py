@@ -10,6 +10,7 @@ from polarsolve import single_elite
 from polarsolve.model import evaluate_cost, stage_payoff
 from polarsolve.single_elite import ValueTable, _cost_matrix, _greedy, bellman_apply
 from tie_reference import break_tie
+from vi_reference import vi_reference
 
 PARAMS = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
 QUAD10 = ps.CostSpec.quadratic(10.0)
@@ -209,7 +210,7 @@ def test_bellman_preserves_peak_property():
 
 def test_solve_infinite_zero_cost():
     grid = ps.build_grid(201)
-    sol = ps.solve_infinite(PARAMS, ps.CostSpec.quadratic(0.0), grid, tol=1e-12)
+    sol = ps.solve_infinite(PARAMS, ps.CostSpec.quadratic(0.0), grid)
     assert sol.converged
     assert np.abs(sol.value.v0 - 10.0).max() <= 1e-8
     assert np.abs(sol.value.v1 - 10.0).max() <= 1e-8
@@ -235,20 +236,80 @@ def test_solve_infinite_median_anchor_and_bounds():
 
 
 def test_solve_infinite_iteration_bound():
+    # value iteration needs this many dense sweeps just to reach a 1e-10
+    # residual; the bitwise fixed point takes fewer
     grid = ps.build_grid(1001)
     tol = 1e-10
-    sol = ps.solve_infinite(PARAMS, QUAD10, grid, tol=tol)
+    sol = ps.solve_infinite(PARAMS, QUAD10, grid)
     bound = math.ceil(math.log(tol * (1 - PARAMS.beta) / PARAMS.H) / math.log(PARAMS.beta))
     assert sol.converged
-    assert sol.iterations <= bound + 50
+    assert sol.residual == 0.0
+    assert sol.iterations <= bound // 4
 
 
 def test_solve_infinite_nonconvergence_flagged():
     grid = ps.build_grid(101)
-    sol = ps.solve_infinite(PARAMS, QUAD10, grid, tol=1e-12, max_iter=3)
+    sol = ps.solve_infinite(PARAMS, QUAD10, grid, max_iter=3)
     assert not sol.converged
     assert sol.iterations == 3
     assert sol.residual > 1e-12
+
+
+FIXED_POINT_CASES = [
+    (n, ps.ModelParams(pi=pi, beta=0.9, H=1.0), ps.CostSpec.quadratic(k))
+    for n in (51, 101)
+    for pi in (0.3, 0.5, 0.9)
+    for k in (0.0, 0.5, 10.0, 200.0)
+] + [
+    (101, ps.ModelParams(pi=0.7, beta=0.5, H=1.0), QUAD10),
+    (101, ps.ModelParams(pi=0.7, beta=0.9, H=2.0), ps.CostSpec.from_function(lambda x: 3.0 * x * x + x**4)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, params, cost",
+    FIXED_POINT_CASES,
+    ids=[f"n={n}-pi={p.pi}-beta={p.beta}-{c.kind}-k={c.k}" for n, p, c in FIXED_POINT_CASES],
+)
+def test_solve_infinite_equals_value_iteration_to_repeat(n, params, cost):
+    grid = ps.build_grid(n)
+    v0, v1, policy, sweeps = vi_reference(params, cost, grid)
+    sol = ps.solve_infinite(params, cost, grid)
+    assert sol.converged and sol.residual == 0.0
+    assert np.array_equal(sol.value.v0, v0) and np.array_equal(sol.value.v1, v1)
+    assert np.array_equal(sol.policy.sigma0, policy.sigma0)
+    assert np.array_equal(sol.policy.sigma1, policy.sigma1)
+    assert sol.iterations < sweeps
+
+
+def test_solve_infinite_is_a_bitwise_fixed_point():
+    grid = ps.build_grid(201)
+    for k in (0.5, 10.0):
+        sol = ps.solve_infinite(PARAMS, ps.CostSpec.quadratic(k), grid)
+        applied = bellman_apply(PARAMS, ps.CostSpec.quadratic(k), grid, sol.value)
+        assert np.array_equal(applied.v0, sol.value.v0)
+        assert np.array_equal(applied.v1, sol.value.v1)
+
+
+def test_solve_infinite_decision_margins():
+    grid = ps.build_grid(101)
+    # free moves: every source's best destination ties with another
+    free = ps.solve_infinite(PARAMS, ps.CostSpec.quadratic(0.0), grid)
+    assert free.exact_ties == 2 * grid.n and free.min_margin is None
+    sol = ps.solve_infinite(PARAMS, QUAD10, grid)
+    assert 0 <= sol.exact_ties < 2 * grid.n
+    assert sol.min_margin > 0.0
+    # best minus runner-up score of every source, from the full score matrix
+    continuation = PARAMS.pi * sol.value.v1 + (1.0 - PARAMS.pi) * sol.value.v0
+    costmat = _cost_matrix(QUAD10, grid)
+    gaps = []
+    for s in (0, 1):
+        base = stage_payoff(s, grid.points, PARAMS.H) + PARAMS.beta * continuation
+        scores = np.sort(base[None, :] - costmat, axis=1)
+        gaps.append(scores[:, -1] - scores[:, -2])
+    gaps = np.concatenate(gaps)
+    assert sol.exact_ties == np.count_nonzero(gaps == 0.0)
+    assert sol.min_margin == gaps[gaps > 0.0].min()
 
 
 def test_solve_infinite_mirror_symmetry():
