@@ -54,14 +54,11 @@ class RunResult:
     manifest: dict
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    # tolist() yields Python floats, whose repr is the shortest round-trip form.
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(x) for x in row))
+    for row in zip(*(column.tolist() for column in columns)):
+        lines.append(",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

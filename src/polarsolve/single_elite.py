@@ -16,12 +16,14 @@ only matter in degenerate cases (e.g. zero cost); the rule is chosen so
 that mirror symmetry of the solution is exact, not approximate.
 
 Every dense maximisation max_j base[j] - c(p_j - p_i), here and in the
-two-elite module, goes through one kernel, `_greedy`, which also applies
-the tie ladder. It reads the cost matrix source-major: grid displacements
-are exact, so the matrix is exactly symmetric and row i is the cost of
-every move out of source i. The kernel works through the sources in
-blocks of rows that fit a fixed byte budget, so the only n x n array a
-solver holds is the cost matrix itself.
+two-elite module, goes through one kernel, `_greedy`, which applies the
+tie ladder on every call; every Bellman sweep, here and in the two-elite
+backward step, is one `_greedy_step` over both states. The kernel reads
+the cost matrix source-major: grid displacements are exact, so the
+matrix is exactly symmetric and row i is the cost of every move out of
+source i. The kernel works through the sources in blocks of rows that
+fit a fixed byte budget, so the only n x n array a solver holds is the
+cost matrix itself.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ class CandidateEvaluation:
     provenance: str
 
 
+def _best_candidate(evaluations, p: float) -> CandidateEvaluation:
+    """The highest objective; ties go to the candidate closest to p, then to 1/2."""
+    return max(evaluations, key=lambda e: (e.objective, -abs(e.candidate - p), -abs(e.candidate - 0.5)))
+
+
 @dataclass(frozen=True)
 class Period1Solution:
     p_next: float
@@ -102,10 +109,12 @@ class InfiniteHorizonSolution:
     """Tables of solve_infinite and how they were reached.
 
     iterations counts dense Bellman sweeps and evaluation_sweeps the O(n)
-    policy-evaluation sweeps between them. min_margin is the smallest gap
-    between a source's best and runner-up destination scores, over the
-    sources (both states) whose best is not an exact tie; None when every
-    source ties. exact_ties counts the sources the tie ladder settled.
+    policy-evaluation sweeps between them. The policy holds the greedy
+    destinations against the emitted value tables. min_margin is the
+    smallest gap between a source's best and runner-up destination
+    scores there, over the sources (both states) whose best is not an
+    exact tie; None when every source ties. exact_ties counts the sources
+    the tie ladder settled.
     """
 
     value: ValueTable
@@ -244,10 +253,7 @@ def period1_solve(params: ModelParams, cost: CostSpec, p: float, s: int) -> Peri
             + params.beta * expected_continuation_2(params, cost, candidate)
         )
         evaluations.append(CandidateEvaluation(candidate, float(objective), provenance))
-    best = max(
-        evaluations,
-        key=lambda e: (e.objective, -abs(e.candidate - p), -abs(e.candidate - 0.5)),
-    )
+    best = _best_candidate(evaluations, p)
     return Period1Solution(p_next=best.candidate, value=best.objective, candidates=tuple(evaluations))
 
 
@@ -275,21 +281,19 @@ _BLOCK_BYTES = 256 * 1024
 def _greedy(
     base: np.ndarray,
     costmat: np.ndarray,
-    grid: Grid | None = None,
-    prefer_right: bool = False,
+    grid: Grid,
+    prefer_right: bool,
     gap: np.ndarray | None = None,
 ):
     """Per source i, the best destination j of base[j] - costmat[i, j].
 
-    Returns (idx, best). Without a grid only the best values are
-    computed and idx is None (a plain Bellman sweep). With one, ties
-    in the score go to the smallest movement |p' - p|, then to the point
-    closest to 1/2, then to the mover's preferred side, then to the lower
-    index. Only the nearest tied destination at or below the source and
-    the nearest at or above it can win the first rung, so the ladder
-    compares just those two, for tied sources only. A gap array, given
-    with a grid, receives each source's best score minus its runner-up:
-    0 exactly where the ladder settled a tie.
+    Returns (idx, best). Ties in the score go to the smallest movement
+    |p' - p|, then to the point closest to 1/2, then to the mover's
+    preferred side, then to the lower index. Only the nearest tied
+    destination at or below the source and the nearest at or above it
+    can win the first rung, so the ladder compares just those two, for
+    tied sources only. A gap array, if given, receives each source's best
+    score minus its runner-up: 0 exactly where the ladder settled a tie.
 
     Sources are taken in blocks of rows of _BLOCK_BYTES, so no n x n
     array of scores is ever formed.
@@ -298,14 +302,11 @@ def _greedy(
     rows = max(1, _BLOCK_BYTES // (8 * n))
     buf = np.empty((min(rows, n), n))
     best = np.empty(n)
-    idx = None if grid is None else np.empty(n, dtype=np.intp)
+    idx = np.empty(n, dtype=np.intp)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         scores = buf[: stop - start]
         np.subtract(base, costmat[start:stop], out=scores)
-        if idx is None:
-            scores.max(axis=1, out=best[start:stop])
-            continue
         r = np.arange(stop - start)
         block_idx = scores.argmax(axis=1)
         block_best = scores[r, block_idx]
@@ -353,15 +354,10 @@ def _ladder(lo, hi, src, pts, prefer_right: bool) -> np.ndarray:
     return np.where(take_hi, hi, lo)
 
 
-def _sweep(beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray) -> list:
-    """One Bellman sweep: the best value at every grid point, per state."""
-    return [_greedy(stage + beta * continuation, costmat)[1] for stage in stages]
-
-
 def _greedy_step(
     beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid, gaps=None
 ):
-    """One Bellman sweep that also returns the greedy destination indices.
+    """One Bellman sweep over both states, keeping the maximising destinations.
 
     Returns (idx, best), one array per state, with the module's
     tie-breaking; gaps, if given, has one row per state, filled as in _greedy.
@@ -423,7 +419,8 @@ def _evaluate(params: ModelParams, stages: list, costmat: np.ndarray, idx: list,
 def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable) -> ValueTable:
     """One synchronous sweep of the Bellman operator over the grid."""
     continuation = _continuation(params.pi, v.v0, v.v1)
-    v0, v1 = _sweep(params.beta, _stages(params, grid), _cost_matrix(cost, grid), continuation)
+    stages, costmat = _stages(params, grid), _cost_matrix(cost, grid)
+    _, (v0, v1) = _greedy_step(params.beta, stages, costmat, continuation, grid)
     return ValueTable(grid=grid, v0=v0, v1=v1)
 
 
@@ -440,42 +437,42 @@ def solve_infinite(
     From zero tables, a dense greedy step (a Bellman sweep that keeps
     its maximising destinations) alternates with O(n) sweeps that
     evaluate those destinations (_evaluate). Once a greedy step moves no
-    value by more than _FEW_ULPS ulps, plain dense sweeps run until the
-    tables repeat bit for bit. Those are the tables that value iteration
-    from zero repeats at, so no tolerance enters the result. The policy
-    is extracted from them with the module's tie-breaking.
+    value by more than _FEW_ULPS ulps, the evaluation stops and greedy
+    steps alone run until the tables repeat bit for bit. Those are the
+    tables that value iteration from zero repeats at, so no tolerance
+    enters the result. The last step's input tables equal its output, so
+    its destinations and decision gaps are the policy and margins of the
+    emitted tables.
 
     iterations counts dense sweeps and max_iter caps them. A solve that
     reaches the cap without a repeat is flagged, not raised: it returns
     the tables of its last dense sweep, whose sup-norm change is the
-    residual (0.0 at the fixed point).
+    residual (0.0 at the fixed point), and the policy is extracted once
+    more against those tables.
     """
     costmat = _cost_matrix(cost, grid)
     stages = _stages(params, grid)
     v = [np.zeros(grid.n), np.zeros(grid.n)]
+    gaps = np.empty((2, grid.n))
     residual = math.inf
     iterations = evaluation_sweeps = 0
-    plain = False
+    settled = False
     while iterations < max_iter:
-        continuation = _continuation(params.pi, *v)
-        if plain:
-            new = _sweep(params.beta, stages, costmat, continuation)
-        else:
-            idx, new = _greedy_step(params.beta, stages, costmat, continuation, grid)
+        idx, new = _greedy_step(params.beta, stages, costmat, _continuation(params.pi, *v), grid, gaps)
         iterations += 1
         residual = _change(new, v)
         v = new
         if residual == 0.0 or iterations == max_iter:
             break
-        plain = plain or residual <= _FEW_ULPS * np.spacing(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
-        if not plain:
+        settled = settled or residual <= _FEW_ULPS * np.spacing(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
+        if not settled:
             evaluation_sweeps += _evaluate(params, stages, costmat, idx, v)
-    gaps = np.empty((2, grid.n))
-    policy = _policy(params.beta, stages, costmat, _continuation(params.pi, *v), grid, gaps)
+    if residual != 0.0:
+        idx, _ = _greedy_step(params.beta, stages, costmat, _continuation(params.pi, *v), grid, gaps)
     untied = gaps[gaps > 0.0]
     return InfiniteHorizonSolution(
         value=ValueTable(grid=grid, v0=v[0], v1=v[1]),
-        policy=policy,
+        policy=PolicyTable(grid=grid, sigma0=grid.points[idx[0]], sigma1=grid.points[idx[1]]),
         residual=residual,
         iterations=iterations,
         converged=residual == 0.0,

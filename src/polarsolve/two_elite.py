@@ -49,7 +49,15 @@ from .model import (
     implemented_policy,
     stage_payoff,
 )
-from .single_elite import CandidateEvaluation, _cost_matrix, _greedy
+from .single_elite import (
+    CandidateEvaluation,
+    _best_candidate,
+    _change,
+    _continuation,
+    _cost_matrix,
+    _greedy,
+    _greedy_step,
+)
 
 INACTION = "inaction"
 MEDIAN = "median"
@@ -127,10 +135,7 @@ def stackelberg_solve(params: ModelParams, cost: CostSpec, p0: float, s1: int) -
         if left >= 0.0:
             value = H * (s1 == 0) - evaluate_cost(cost, p0 - left) + beta * (1.0 - pi) * H
             candidates.append(CandidateEvaluation(left, float(value), SEMI_LOCK_LEFT))
-    best = max(
-        candidates,
-        key=lambda e: (e.objective, -abs(e.candidate - p0), -abs(e.candidate - 0.5)),
-    )
+    best = _best_candidate(candidates, p0)
     return StackelbergSolution(
         chosen=best.candidate,
         value=best.objective,
@@ -229,26 +234,18 @@ def mpe_solve(
     seen = {}  # digest of A's waiting values -> the first step that left them
     steps, end = 0, horizon
     while steps < end:
-        new_v, new_idx, changes = [], [], []
-        for s in (0, 1):
-            base = stage[s] + beta * u
-            idx, best = _greedy(base, costmat, grid, prefer_right=(s == 1))
-            changes.append(np.abs(best - v[s]).max())
-            new_v.append(best)
-            new_idx.append(idx)
+        new_idx, new_v = _greedy_step(beta, stage, costmat, u, grid)
         # A waits while B moves; B's landing from p is the mirror of A's from 1 - p.
-        continuation = pi * new_v[1] + (1.0 - pi) * new_v[0]
+        continuation = _continuation(pi, *new_v)
         fresh = np.zeros(grid.n)
         for s in (0, 1):
             landing = last - new_idx[s][::-1]
             prob = pi if s == 1 else 1.0 - pi
             fresh = fresh + prob * (waiting_stage[s][landing] + beta * continuation[landing])
-        changes.append(np.abs(fresh - u).max())
+        # B's changes mirror A's and have the same sup norm.
+        residual = _change([*new_v, fresh], [*v, u])
         v, u, policy_idx = new_v, fresh, new_idx
         steps += 1
-        # B's changes mirror A's and have the same sup norm. np.max, unlike
-        # the builtin max(0.0, nan), lets a NaN through.
-        residual = float(np.max(changes))
         if residual <= residual_tol:
             cycle_period, cycle_entered_at = 1, None
             break
@@ -299,7 +296,7 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
         for s in (0, 1):
             stage = _mover_stage(params, grid, elite, s)
             base = stage + params.beta * waiting
-            _, best = _greedy(base, costmat)
+            _, best = _greedy(base, costmat, grid, prefer_right=_preferred(elite, s) == 1)
             recorded = np.rint(sol.moves(elite, s) * (grid.n - 1)).astype(int)
             played = base[recorded] - costmat[recorded, sources]
             gain = float(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import polarsolve as ps
 from polarsolve import single_elite
 from polarsolve.model import evaluate_cost, stage_payoff
-from polarsolve.single_elite import ValueTable, _cost_matrix, _greedy, bellman_apply
+from polarsolve.single_elite import ValueTable, _cost_matrix, _greedy, _policy, _stages, bellman_apply
 from tie_reference import break_tie
 from vi_reference import vi_reference
 
@@ -291,17 +291,24 @@ def test_solve_infinite_is_a_bitwise_fixed_point():
         assert np.array_equal(applied.v1, sol.value.v1)
 
 
-def test_solve_infinite_decision_margins():
+@pytest.mark.parametrize("max_iter", [10000, 3])
+def test_solve_infinite_decision_margins(max_iter):
+    # a converged solve reads its policy and margins off its last sweep; a
+    # capped one extracts them again against the tables it emits
     grid = ps.build_grid(101)
     # free moves: every source's best destination ties with another
-    free = ps.solve_infinite(PARAMS, ps.CostSpec.quadratic(0.0), grid)
+    free = ps.solve_infinite(PARAMS, ps.CostSpec.quadratic(0.0), grid, max_iter=max_iter)
     assert free.exact_ties == 2 * grid.n and free.min_margin is None
-    sol = ps.solve_infinite(PARAMS, QUAD10, grid)
+    sol = ps.solve_infinite(PARAMS, QUAD10, grid, max_iter=max_iter)
+    assert sol.converged == (max_iter != 3)
     assert 0 <= sol.exact_ties < 2 * grid.n
     assert sol.min_margin > 0.0
-    # best minus runner-up score of every source, from the full score matrix
     continuation = PARAMS.pi * sol.value.v1 + (1.0 - PARAMS.pi) * sol.value.v0
     costmat = _cost_matrix(QUAD10, grid)
+    policy = _policy(PARAMS.beta, _stages(PARAMS, grid), costmat, continuation, grid)
+    assert np.array_equal(sol.policy.sigma0, policy.sigma0)
+    assert np.array_equal(sol.policy.sigma1, policy.sigma1)
+    # best minus runner-up score of every source, from the full score matrix
     gaps = []
     for s in (0, 1):
         base = stage_payoff(s, grid.points, PARAMS.H) + PARAMS.beta * continuation
@@ -382,18 +389,21 @@ def test_greedy_matches_per_column_tie_ladder(half, k, rows, data):
     base = np.array(levels, dtype=float)
     costmat = _cost_matrix(ps.CostSpec.quadratic(k), grid)
     scores = base[:, None] - costmat  # scores[j, i]: destination j from source i
+    ranked = np.sort(scores, axis=0)
+    recurs = np.count_nonzero(scores == ranked[-1], axis=0) > 1
     with mock.patch.object(single_elite, "_BLOCK_BYTES", rows * 8 * grid.n):
         for prefer_right in (False, True):
-            idx, best = _greedy(base, costmat, grid, prefer_right)
+            gap = np.empty(grid.n)
+            idx, best = _greedy(base, costmat, grid, prefer_right, gap)
             want = [
                 break_tie(np.flatnonzero(scores[:, i] == scores[:, i].max()), i, grid, prefer_right)
                 for i in range(grid.n)
             ]
             assert idx.tolist() == want
             assert np.array_equal(best, scores.max(axis=0))
-        values_only, best_only = _greedy(base, costmat)
-    assert values_only is None
-    assert np.array_equal(best_only, scores.max(axis=0))
+            # best minus runner-up of the sorted column, 0 where its maximum recurs
+            assert np.array_equal(gap, ranked[-1] - ranked[-2])
+            assert np.array_equal(gap == 0.0, recurs)
 
 
 def test_cost_matrix_is_exactly_symmetric():

@@ -2,14 +2,15 @@
 
 This is the loop `single_elite.solve_infinite` ran before it switched to
 modified policy iteration, with the tolerance stop replaced by an exact
-repeat: Bellman sweeps from zero tables, nothing else. The tests that
-compare `solve_infinite` with it check that the faster solver lands on
-the same float tables and policy.
+repeat: Bellman sweeps from zero tables, nothing else. The policy is
+extracted afterwards against the repeated tables, not read off the last
+sweep. The tests that compare `solve_infinite` with it check that the
+faster solver lands on the same float tables and policy.
 """
 
 import numpy as np
 
-from polarsolve.single_elite import _cost_matrix, _policy, _stages, _sweep
+from polarsolve.single_elite import _cost_matrix, _greedy_step, _policy, _stages
 
 
 def vi_reference(params, cost, grid, max_sweeps=100_000):
@@ -19,7 +20,7 @@ def vi_reference(params, cost, grid, max_sweeps=100_000):
     v0, v1 = np.zeros(grid.n), np.zeros(grid.n)
     for sweeps in range(1, max_sweeps + 1):
         continuation = params.pi * v1 + (1.0 - params.pi) * v0
-        new0, new1 = _sweep(params.beta, stages, costmat, continuation)
+        _, (new0, new1) = _greedy_step(params.beta, stages, costmat, continuation, grid)
         if np.array_equal(new0, v0) and np.array_equal(new1, v1):
             return v0, v1, _policy(params.beta, stages, costmat, continuation, grid), sweeps
         v0, v1 = new0, new1
