@@ -43,17 +43,13 @@ def main() -> int:
 
     print("== cheap persuasion (k = 0.5): pull to 1/2 ==")
     sol = ps.mpe_solve(params, ps.CostSpec.quadratic(0.5), grid)
-    moves = {
-        ("A", 0): sol.sigmaA0, ("A", 1): sol.sigmaA1,
-        ("B", 0): sol.sigmaB0, ("B", 1): sol.sigmaB1,
-    }
     worst_turns = 0
     for s in (0, 1):
         for first in ("A", "B"):
             second = "B" if first == "A" else "A"
-            p1 = moves[(first, s)]
+            p1 = sol.moves(first, s)
             i1 = np.rint(p1 * (grid.n - 1)).astype(int)
-            p2 = moves[(second, s)][i1]
+            p2 = sol.moves(second, s)[i1]
             turns = np.where(p1 == 0.5, 1, np.where(p2 == 0.5, 2, 99)).max()
             worst_turns = max(worst_turns, int(turns))
     print(f"  every starting point reaches 1/2 within {worst_turns} mover turns")

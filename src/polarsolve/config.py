@@ -124,6 +124,8 @@ def apply_assignment(config: ExperimentConfig, key: str, raw: str, line: int | N
         for item in items:
             if item not in ORACLE_CHECKS:
                 raise ConfigError(key, f"checks must be among {ORACLE_CHECKS}, got {item!r}", line)
+            if items.count(item) > 1:
+                raise ConfigError(key, f"check {item!r} is listed more than once", line)
         return replace(config, checks=items)
     if key == "output_dir":
         if not raw:
@@ -176,7 +178,8 @@ def _check_dense_memory(name: str, n: int) -> None:
     """Reject a size whose n x n float64 matrices would not fit in memory.
 
     Pure arithmetic, so an absurd size fails here instead of in the
-    allocator (or the OOM killer).
+    allocator (or the OOM killer). A sweep runs its combinations one
+    after another, so this bounds the whole run, not just one solve.
     """
     try:
         available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import oracle as oracle_mod
-from .config import ConfigError, ExperimentConfig, config_as_dict, sweep_combinations, validate
+from .config import ExperimentConfig, config_as_dict, sweep_combinations, validate
 from .grids import build_grid
 from .model import CostSpec, ModelParams, evaluate_cost, stage_payoff
 from .single_elite import (
@@ -251,37 +249,14 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
     return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv"])
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("POLARSOLVE_THREADS", "")
-    if not raw:
-        return max(1, min(4, os.cpu_count() or 1))
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError("POLARSOLVE_THREADS", f"must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:
     names = [name for name, _ in config.sweep_axes]
-    combos = list(enumerate(sweep_combinations(config)))
     start = time.perf_counter()
-
-    def run_one(item):
-        index, (_, solver_config) = item
-        return run_config(solver_config, out_dir / f"combo_{index:03d}")
-
-    workers = min(_default_workers(), max(1, len(combos)))
-    if workers == 1:
-        results = [run_one(item) for item in combos]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, combos))
     lines = [",".join(["combo"] + names + ["dir", "policy_csv", "value_csv"])]
     artifacts = ["index.csv"]
-    for (index, (values, _)), result in zip(combos, results):
+    worst = EXIT_OK
+    for index, (values, solver_config) in enumerate(sweep_combinations(config)):
+        result = run_config(solver_config, out_dir / f"combo_{index:03d}")
         rel = result.out_dir.relative_to(out_dir)
         lines.append(
             ",".join(
@@ -291,10 +266,11 @@ def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:
             )
         )
         artifacts += [str(rel / entry["path"]) for entry in result.manifest["artifacts"]]
+        worst = max(worst, result.exit_code)
     (out_dir / "index.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     elapsed = time.perf_counter() - start
-    diagnostics = {"wall_time_s": elapsed, "combinations": len(combos)}
-    worst = max((result.exit_code for result in results), default=EXIT_OK)
+    # One index line per combination, after the header.
+    diagnostics = {"wall_time_s": elapsed, "combinations": len(lines) - 1}
     return _finish(config, out_dir, diagnostics, artifacts, worst)
 
 

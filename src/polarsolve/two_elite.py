@@ -182,11 +182,6 @@ class MpeSolution:
         return table[(elite, s)]
 
 
-def _mover_stage(params: ModelParams, grid: Grid, elite: str, s: int) -> np.ndarray:
-    pref = _preferred(elite, s)
-    return params.H * (implemented_policy(grid.points, pref) == pref)
-
-
 def mpe_solve(
     params: ModelParams,
     cost: CostSpec,
@@ -220,7 +215,7 @@ def mpe_solve(
         raise ValueError("mpe_solve needs a mirror-closed grid (1 - p on the grid for every p)")
     last = grid.n - 1
     costmat = _cost_matrix(cost, grid)
-    stage = [_mover_stage(params, grid, ELITE_A, s) for s in (0, 1)]
+    stage = [stage_payoff(_preferred(ELITE_A, s), pts, params.H) for s in (0, 1)]
     # Payoff to A, waiting, when B lands on each point in state s.
     waiting_stage = [
         params.H * (implemented_policy(pts, _preferred(ELITE_B, s)) == s) for s in (0, 1)
@@ -294,9 +289,9 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
     for elite in (ELITE_A, ELITE_B):
         waiting = sol.waiting_values(elite)
         for s in (0, 1):
-            stage = _mover_stage(params, grid, elite, s)
-            base = stage + params.beta * waiting
-            _, best = _greedy(base, costmat, grid, prefer_right=_preferred(elite, s) == 1)
+            pref = _preferred(elite, s)
+            base = stage_payoff(pref, grid.points, params.H) + params.beta * waiting
+            _, best = _greedy(base, costmat, grid, prefer_right=pref == 1)
             recorded = np.rint(sol.moves(elite, s) * (grid.n - 1)).astype(int)
             played = base[recorded] - costmat[recorded, sources]
             gain = float(

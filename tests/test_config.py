@@ -62,6 +62,9 @@ def test_unknown_and_duplicate_keys_rejected():
         parse_config("experiment = solve-single\nfrobnicate = 3\n")
     with pytest.raises(ConfigError):
         parse_config("pi = 0.5\npi = 0.6\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config("experiment = oracle-check\nchecks = period2, period2\n")
+    assert err.value.field == "checks"
 
 
 def test_even_grid_rejected():

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import math
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polarsolve as ps
+from polarsolve import runner
 from polarsolve.cli import main
 from polarsolve.config import parse_config
 from polarsolve.runner import (
@@ -17,7 +21,7 @@ from polarsolve.runner import (
     read_table_csv,
     run_config,
 )
-from polarsolve.single_elite import PolicyTable, ValueTable
+from polarsolve.single_elite import PolicyTable, ValueTable, solve_infinite
 
 BASE_SINGLE = """
 experiment = solve-single
@@ -207,14 +211,58 @@ def test_sweep_determinism(tmp_path):
     assert len(index) == 5  # header + 4 combinations
 
 
-def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("POLARSOLVE_THREADS", "1")
+def test_sweep_runs_one_combination_at_a_time(tmp_path, monkeypatch):
+    lock = threading.Lock()
+    active, peak, calls = 0, 0, 0
+
+    def counting_solve(*args, **kwargs):
+        nonlocal active, peak, calls
+        with lock:
+            active += 1
+            calls += 1
+            peak = max(peak, active)
+        try:
+            time.sleep(0.02)
+            return solve_infinite(*args, **kwargs)
+        finally:
+            with lock:
+                active -= 1
+
+    monkeypatch.setattr(runner, "solve_infinite", counting_solve)
     config = parse_config(
-        "experiment = sweep\nsolver = solve-single\nsweep.k = 1, 10\ngrid_n = 51\ntol = 1e-8\n"
+        "experiment = sweep\nsolver = solve-single\nsweep.k = 1, 10, 100\nsweep.pi = 0.5, 0.7\n"
+        "grid_n = 51\n"
     )
     result = run_config(config, tmp_path)
     assert result.exit_code == 0
-    assert (tmp_path / "combo_001" / "value.csv").exists()
+    assert calls == 6
+    assert peak == 1
+    assert (tmp_path / "combo_005" / "value.csv").exists()
+
+
+def test_sweep_keeps_every_combination_and_the_worst_exit_code(tmp_path, monkeypatch):
+    calls = 0
+
+    def second_unconverged(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        sol = solve_infinite(*args, **kwargs)
+        return dataclasses.replace(sol, converged=False) if calls == 2 else sol
+
+    monkeypatch.setattr(runner, "solve_infinite", second_unconverged)
+    config = parse_config(
+        "experiment = sweep\nsolver = solve-single\nsweep.k = 1, 10, 100\ngrid_n = 51\n"
+    )
+    result = run_config(config, tmp_path)
+    # the failing combination is not the last, so a later success must not hide it
+    assert result.exit_code == runner.EXIT_NO_CONVERGENCE
+    index = (tmp_path / "index.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in index[1:]] == ["000", "001", "002"]
+    assert result.manifest["diagnostics"]["combinations"] == 3
+    combo = json.loads((tmp_path / "combo_001" / "manifest.json").read_text())
+    assert combo["diagnostics"]["converged"] is False
+    for i in range(3):
+        assert (tmp_path / f"combo_{i:03d}" / "value.csv").exists()
 
 
 def test_oracle_check_run(tmp_path):
@@ -267,6 +315,14 @@ def test_cli_experiment_override_must_match_subcommand(tmp_path, capsys):
     assert capsys.readouterr().err == from_file
     assert "'solve-mpe'" in from_file and "'solve-single'" in from_file
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("checks", ["period2, period2", "period1, stackelberg, period1"])
+def test_cli_repeated_check_exits_2_without_artifacts(tmp_path, capsys, checks):
+    code = main(["oracle-check", "--out", str(tmp_path), "--override", f"checks={checks}"])
+    assert code == 2
+    assert "checks" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.json"))
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "invalid-utf8"])
@@ -357,18 +413,6 @@ def test_cli_in_range_config_solves_finite_or_exits_2(experiment, pi, beta, H, k
         for name in ("value.csv", "policy.csv"):
             for column in read_table_csv(Path(out) / name).values():
                 assert np.isfinite(column).all(), name
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-def test_cli_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("POLARSOLVE_THREADS", raw)
-    code = main(
-        ["sweep", "--out", str(tmp_path), "--override", "solver=solve-single",
-         "--override", "sweep.k=1, 10", "--override", "grid_n=51"]
-    )
-    assert code == 2
-    assert "POLARSOLVE_THREADS" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize(

@@ -241,6 +241,30 @@ def test_mpe_non_stationary_flagged():
     assert sol.horizon_used == 5
 
 
+@pytest.mark.parametrize("elite", ["A", "B"])
+def test_mpe_mover_value_is_the_payoff_of_its_recorded_move(elite):
+    # B's tables are A's mirrored; its stage payoff must still be stage_payoff
+    # for B's own preferred policy, which is 1 - s.
+    # The mover values were computed against the waiting values of the step
+    # before the last, which a converged solution moves by at most its residual.
+    params = ps.ModelParams(pi=0.8, beta=0.9, H=1.0)
+    cost = ps.CostSpec.quadratic(20.0)
+    grid = ps.build_grid(201)
+    sol = ps.mpe_solve(params, cost, grid)
+    assert sol.converged
+    waiting = sol.waiting_values(elite)
+    for s in (0, 1):
+        pref = s if elite == "A" else 1 - s
+        moves = sol.moves(elite, s)
+        landing = np.rint(moves * (grid.n - 1)).astype(int)
+        played = (
+            ps.stage_payoff(pref, moves, params.H)
+            - ps.evaluate_cost(cost, moves - grid.points)
+            + params.beta * waiting[landing]
+        )
+        assert np.max(np.abs(played - sol.mover_values(elite, s))) <= params.beta * sol.residual + 1e-12
+
+
 def test_check_no_deviation_converged():
     grid = ps.build_grid(201)
     sol = ps.mpe_solve(PARAMS, ps.CostSpec.quadratic(0.0), grid, residual_tol=1e-9)
