@@ -34,8 +34,8 @@ DEFAULT_GRID_N_MPE = 501
 
 # Peak number of n x n float64 matrices alive at once where they are built:
 # making a cost matrix holds the displacements, an intermediate product and
-# the costs (the solvers then keep the costs alone), and the oracle's
-# response tables hold as many. The two-period solvers build none.
+# the costs (the solvers then keep the costs alone). The two-period solvers
+# and the oracle's response tables, which work in blocks, build none.
 DENSE_MATRICES = 3
 DENSE_EXPERIMENTS = ("solve-single", "solve-mpe")
 
@@ -180,6 +180,8 @@ def _check_dense_memory(name: str, n: int) -> None:
     Pure arithmetic, so an absurd size fails here instead of in the
     allocator (or the OOM killer). A sweep runs its combinations one
     after another, so this bounds the whole run, not just one solve.
+    oracle-check holds no n x n array, but its response tables still
+    score all n^2 moves, so oracle_n keeps the same bound on that work.
     """
     try:
         available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -46,15 +46,35 @@ class TwoPeriodTables:
     evaluations: int
 
 
+# Bytes of one block of move costs. The response tables score the period-1
+# positions p1 a block at a time, so they hold a few such blocks, never an
+# n x n array.
+_BLOCK_BYTES = 1 << 19
+
+
+def _cost_blocks(cost: CostSpec, pts: np.ndarray):
+    """Yield (block, costs), costs[j, i] = c(pts[i] - p1) for the j-th p1 in pts[block].
+
+    A row holds every period-2 move out of one p1, so its max and first
+    argmax do not depend on how the p1 are blocked.
+    """
+    rows = max(1, _BLOCK_BYTES // (8 * pts.size))
+    for start in range(0, pts.size, rows):
+        block = slice(start, start + rows)
+        yield block, evaluate_cost(cost, pts[None, :] - pts[block, None])
+
+
 def period2_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid) -> TwoPeriodTables:
-    """Enumerate the period-2 problem max_{p2} [R(s2, p2) - c(p2 - p1)] per p1."""
+    """Enumerate the period-2 problem max_{p2} [R(s2, p2) - c(p2 - p1)] per p1.
+
+    Each block of p1 is costed once and scored for both s2.
+    """
     pts = oracle_grid.points
-    disp = pts[:, None] - pts[None, :]  # rows: p2 candidates, cols: p1
-    costs = evaluate_cost(cost, disp)
-    best = []
-    for s2 in (0, 1):
-        stage = stage_payoff(s2, pts, params.H)
-        best.append((stage[:, None] - costs).max(axis=0))
+    stages = [stage_payoff(s2, pts, params.H) for s2 in (0, 1)]
+    best = [np.empty(oracle_grid.n), np.empty(oracle_grid.n)]
+    for block, costs in _cost_blocks(cost, pts):
+        for s2 in (0, 1):
+            best[s2][block] = (stages[s2] - costs).max(axis=1)
     return TwoPeriodTables(
         grid=oracle_grid,
         best0=best[0],
@@ -112,14 +132,15 @@ def rival_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid
     follower strategy.
     """
     pts = oracle_grid.points
-    disp = pts[:, None] - pts[None, :]
-    costs = evaluate_cost(cost, disp)
+    follower_stage = [params.H * (implemented_policy(pts, 1 - s2) == 1 - s2) for s2 in (0, 1)]
+    reply_idx = [np.empty(oracle_grid.n, dtype=np.intp), np.empty(oracle_grid.n, dtype=np.intp)]
+    for block, costs in _cost_blocks(cost, pts):
+        for s2 in (0, 1):
+            reply_idx[s2][block] = (follower_stage[s2] - costs).argmax(axis=1)
     expected = np.zeros(oracle_grid.n)
     for s2 in (0, 1):
         pref = 1 - s2
-        follower_stage = params.H * (implemented_policy(pts, pref) == pref)
-        reply_idx = (follower_stage[:, None] - costs).argmax(axis=0)
-        landed = pts[reply_idx]
+        landed = pts[reply_idx[s2]]
         leader_payoff = params.H * (implemented_policy(landed, pref) == s2)
         prob = params.pi if s2 == 1 else 1.0 - params.pi
         expected = expected + prob * leader_payoff

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,14 +139,6 @@ def _model_inputs(config: ExperimentConfig):
     return params, cost, grid
 
 
-def _candidate_record(evaluation) -> dict:
-    return {
-        "candidate": evaluation.candidate,
-        "objective": evaluation.objective,
-        "provenance": evaluation.provenance,
-    }
-
-
 def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
     params, cost, grid = _model_inputs(config)
     start = time.perf_counter()
@@ -166,51 +159,103 @@ def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
     return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv"], code)
 
 
-def _period1_record(p: float, s: int, sol) -> dict:
+# Records are built as columns: lists of tolist() values, one per key and
+# point. tolist() yields Python floats, which json spells by their shortest
+# round-trip repr (a numpy float's repr would be np.float64(...)).
+def _candidate_columns(points: list, sol) -> list[dict]:
+    return [
+        {
+            "candidate": e.candidate.tolist(),
+            "objective": e.objective.tolist(),
+            "provenance": [e.provenance] * len(points),
+        }
+        for e in sol.candidates
+    ]
+
+
+def _period1_columns(points: list, s: int, sol) -> dict:
     return {
-        "p": p,
-        "s": s,
-        "chosen": sol.p_next,
-        "value": sol.value,
-        "candidates": [_candidate_record(c) for c in sol.candidates],
+        "p": points,
+        "s": [s] * len(points),
+        "chosen": sol.p_next.tolist(),
+        "value": sol.value.tolist(),
+        "candidates": _candidate_columns(points, sol),
     }
 
 
-def _stackelberg_record(p0: float, s1: int, sol) -> dict:
+def _stackelberg_columns(points: list, s1: int, sol) -> dict:
     return {
-        "p0": p0,
-        "s1": s1,
-        "chosen": sol.chosen,
-        "value": sol.value,
-        "phi": sol.phi_at_p0,
-        "candidates": [_candidate_record(c) for c in sol.candidates],
+        "p0": points,
+        "s1": [s1] * len(points),
+        "chosen": sol.chosen.tolist(),
+        "value": sol.value.tolist(),
+        "phi": sol.phi_at_p0.tolist(),
+        "candidates": _candidate_columns(points, sol),
     }
 
 
-def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, record) -> RunResult:
-    """Solve a two-period problem at every grid point and state.
+def _spelled(column: list) -> list[str]:
+    """Every value of a column as json.dumps spells it."""
+    kinds = set(map(type, column))
+    if kinds <= {int, float} and all(map(math.isfinite, column)):
+        return list(map(repr, column))
+    if kinds == {str}:
+        spelling = {x: json.dumps(x) for x in set(column)}
+        return list(map(spelling.__getitem__, column))
+    return list(map(json.dumps, column))
 
-    solve(params, cost, p, s) returns one point's solution; record(p, s,
-    solution) turns it into its candidates.json entry, whose "chosen" and
-    "value" fill the policy and value tables.
+
+def _records_json(columns: dict) -> str:
+    """json.dumps(records, indent=2, sort_keys=True) + "\n" for records given as columns.
+
+    Record i maps every key to columns[key][i], except "candidates": a
+    list that holds, for each dict of columns in columns["candidates"], the
+    dict of their i-th values. json's indenting encoder is pure Python and
+    costs more than the solves, so each record's values are filled into one
+    template that json.dumps lays out from placeholders.
+    """
+    layout = {key: "%s" for key in columns}
+    layout["candidates"] = [{field: "%s" for field in slot} for slot in columns["candidates"]]
+    template = json.dumps(layout, indent=2, sort_keys=True).replace("%", "%%").replace('"%%s"', "%s")
+    template = template.replace("\n", "\n  ")  # a record sits one level deep in the list
+    leaves = []  # the value columns in the order json.dumps visits them
+    for key in sorted(columns):
+        if key == "candidates":
+            leaves += [slot[field] for slot in columns[key] for field in sorted(slot)]
+        else:
+            leaves.append(columns[key])
+    records = (template % row for row in zip(*map(_spelled, leaves)))
+    return "[\n  " + ",\n  ".join(records) + "\n]\n"
+
+
+def _both_states(first: dict, second: dict) -> dict:
+    """The columns of first's records followed by second's."""
+    return {
+        key: [_both_states(a, b) for a, b in zip(first[key], second[key])]
+        if key == "candidates"
+        else first[key] + second[key]
+        for key in first
+    }
+
+
+def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, columns) -> RunResult:
+    """Solve a two-period problem over the grid, once per state.
+
+    solve(params, cost, points, s) solves at every grid point at once;
+    columns(points, s, solution) lays it out as the columns of the points'
+    candidates.json records, whose "chosen" and "value" fill the policy
+    and value tables.
     """
     params, cost, grid = _model_inputs(config)
+    points = grid.points.tolist()
     start = time.perf_counter()
-    sigma = [np.empty(grid.n), np.empty(grid.n)]
-    value = [np.empty(grid.n), np.empty(grid.n)]
-    records = []
-    for s in (0, 1):
-        for i, p in enumerate(grid.points):
-            entry = record(float(p), s, solve(params, cost, float(p), s))
-            sigma[s][i] = entry["chosen"]
-            value[s][i] = entry["value"]
-            records.append(entry)
+    records = _both_states(*(columns(points, s, solve(params, cost, grid.points, s)) for s in (0, 1)))
     elapsed = time.perf_counter() - start
-    policy = PolicyTable(grid=grid, sigma0=sigma[0], sigma1=sigma[1])
-    table = ValueTable(grid=grid, v0=value[0], v1=value[1])
-    emit_policy_csv(policy, out_dir / "policy.csv")
-    emit_value_csv(table, out_dir / "value.csv")
-    _write_json(out_dir / "candidates.json", records)
+    sigma = np.reshape(records["chosen"], (2, grid.n))
+    value = np.reshape(records["value"], (2, grid.n))
+    emit_policy_csv(PolicyTable(grid=grid, sigma0=sigma[0], sigma1=sigma[1]), out_dir / "policy.csv")
+    emit_value_csv(ValueTable(grid=grid, v0=value[0], v1=value[1]), out_dir / "value.csv")
+    (out_dir / "candidates.json").write_text(_records_json(records), encoding="utf-8")
     diagnostics = {"wall_time_s": elapsed, "points": grid.n}
     return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv", "candidates.json"])
 
@@ -218,11 +263,11 @@ def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, record) -> R
 # The solve functions are looked up when a run starts, not bound here, so
 # that a tracer patching this module's names (bench/tracer.py) sees every call.
 def _run_solve_single2p(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    return _run_two_period(config, out_dir, period1_solve, _period1_record)
+    return _run_two_period(config, out_dir, period1_solve, _period1_columns)
 
 
 def _run_solve_stackelberg(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    return _run_two_period(config, out_dir, stackelberg_solve, _stackelberg_record)
+    return _run_two_period(config, out_dir, stackelberg_solve, _stackelberg_columns)
 
 
 def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
@@ -312,12 +357,11 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
         worst_value = 0.0
         pull_ok = True
         for s in (0, 1):
-            for p in scan:
-                p = float(p)
-                sol = period1_solve(params, cost, p, s)
+            sol = period1_solve(params, cost, scan, s)
+            for p, value in zip(scan.tolist(), sol.value.tolist()):
                 res = oracle_mod.brute_force_two_period_single(params, cost, p, s, ogrid, tables)
-                worst_value = max(worst_value, abs(res.value - sol.value))
-                pull_ok = pull_ok and abs(sol.p_next - 0.5) <= abs(p - 0.5) + 1e-15
+                worst_value = max(worst_value, abs(res.value - value))
+            pull_ok = pull_ok and bool(np.all(np.abs(sol.p_next - 0.5) <= np.abs(scan - 0.5) + 1e-15))
         passed = worst_value <= tol_period1 and pull_ok
         report["checks"]["period1"] = {
             "max_value_diff": worst_value,
@@ -330,11 +374,10 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
         tables = oracle_mod.rival_response_tables(params, cost, ogrid)
         worst_value = 0.0
         for s1 in (0, 1):
-            for p0 in scan:
-                p0 = float(p0)
-                sol = stackelberg_solve(params, cost, p0, s1)
+            sol = stackelberg_solve(params, cost, scan, s1)
+            for p0, value in zip(scan.tolist(), sol.value.tolist()):
                 res = oracle_mod.brute_force_stackelberg(params, cost, p0, s1, ogrid, tables)
-                worst_value = max(worst_value, abs(res.value - sol.value))
+                worst_value = max(worst_value, abs(res.value - value))
         passed = worst_value <= tol_stackelberg
         report["checks"]["stackelberg"] = {
             "max_value_diff": worst_value,

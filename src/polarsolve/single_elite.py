@@ -67,20 +67,52 @@ class RegionPartition:
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
-    candidate: float
-    objective: float
+    """One candidate move and its objective.
+
+    Floats when the solver was called at one point; arrays over the
+    points when it was called with an array of them.
+    """
+
+    candidate: float | np.ndarray
+    objective: float | np.ndarray
     provenance: str
 
 
-def _best_candidate(evaluations, p: float) -> CandidateEvaluation:
-    """The highest objective; ties go to the candidate closest to p, then to 1/2."""
-    return max(evaluations, key=lambda e: (e.objective, -abs(e.candidate - p), -abs(e.candidate - 0.5)))
+def _best_candidate(evaluations, p):
+    """Per point, the highest objective; ties go to the candidate closest to p, then to 1/2,
+    then to the first listed.
+
+    evaluations hold arrays over the points p. Returns (candidate, objective).
+    """
+    best, top = evaluations[0].candidate, evaluations[0].objective
+    for e in evaluations[1:]:
+        move, best_move = np.abs(e.candidate - p), np.abs(best - p)
+        better = (e.objective > top) | (
+            (e.objective == top)
+            & ((move < best_move) | ((move == best_move) & (np.abs(e.candidate - 0.5) < np.abs(best - 0.5))))
+        )
+        best = np.where(better, e.candidate, best)
+        top = np.where(better, e.objective, top)
+    return best, top
+
+
+def _like(p, out):
+    """out, an array over the points of p, as a float when p is one point."""
+    return float(out) if np.ndim(p) == 0 else out
+
+
+def _evaluations_like(p, evaluations) -> tuple[CandidateEvaluation, ...]:
+    return tuple(
+        CandidateEvaluation(_like(p, e.candidate), _like(p, e.objective), e.provenance) for e in evaluations
+    )
 
 
 @dataclass(frozen=True)
 class Period1Solution:
-    p_next: float
-    value: float
+    """The first-period choice: floats for one point, arrays over an array of points."""
+
+    p_next: float | np.ndarray
+    value: float | np.ndarray
     candidates: tuple[CandidateEvaluation, ...]
 
 
@@ -149,12 +181,15 @@ def expected_continuation_2(params: ModelParams, cost: CostSpec, p_next):
     and bent by the anticipated flip cost on the inner bands. Boundaries
     belong to the inner branches; the formulas agree there.
     """
-    regions = region_partition(params, cost)
+    return _like(p_next, _continuation_2(params, cost, region_partition(params, cost), p_next))
+
+
+def _continuation_2(params: ModelParams, cost: CostSpec, regions: RegionPartition, p_next) -> np.ndarray:
     H, pi = params.H, params.pi
     p = np.asarray(p_next, dtype=float)
     inner_left = H - pi * evaluate_cost(cost, 0.5 - p)
     inner_right = H - (1.0 - pi) * evaluate_cost(cost, p - 0.5)
-    out = np.where(
+    return np.where(
         p < regions.p0_star,
         H * (1.0 - pi),
         np.where(
@@ -163,9 +198,6 @@ def expected_continuation_2(params: ModelParams, cost: CostSpec, p_next):
             np.where(p <= regions.p1_star, inner_right, H * pi),
         ),
     )
-    if np.ndim(p_next) == 0:
-        return float(out)
-    return out
 
 
 def period2_solve(params: ModelParams, cost: CostSpec, p: float, s: int) -> tuple[float, float]:
@@ -206,55 +238,70 @@ def golden_section_min(fn, lo: float, hi: float, width: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _interior_minimizer(cost, p, weight, lo, hi):
-    # Minimize c(q - p) + weight * c(q - 1/2) over [lo, hi]; both interior
-    # regions anchor their second term at 1/2. Strictly convex in q.
+def _interior_minimizer(cost, p, weight, lo, hi) -> np.ndarray:
+    # Minimize c(q - p) + weight * c(q - 1/2) over [lo, hi] at every point p;
+    # both interior regions anchor their second term at 1/2. Strictly convex in q.
+    p = np.asarray(p, dtype=float)
     if hi <= lo:
-        return lo
+        return np.full(p.shape, lo)
     if cost.kind == QUADRATIC:
         q = (p + 0.5 * weight) / (1.0 + weight)
-        return min(max(q, lo), hi)
-    objective = lambda q: evaluate_cost(cost, q - p) + weight * evaluate_cost(cost, q - 0.5)
-    return golden_section_min(objective, lo, hi)
+        return np.minimum(np.maximum(q, lo), hi)
+    out = [
+        golden_section_min(
+            lambda q: evaluate_cost(cost, q - x) + weight * evaluate_cost(cost, q - 0.5), lo, hi
+        )
+        for x in p.ravel().tolist()
+    ]
+    return np.reshape(out, p.shape)
 
 
-def interior_minimizer_B(params: ModelParams, cost: CostSpec, p: float) -> float:
+def _interior_B(params: ModelParams, cost: CostSpec, regions: RegionPartition, p) -> np.ndarray:
+    return _interior_minimizer(cost, p, params.beta * params.pi, max(regions.p0_star, 0.0), 0.5)
+
+
+def _interior_C(params: ModelParams, cost: CostSpec, regions: RegionPartition, p) -> np.ndarray:
+    return _interior_minimizer(cost, p, params.beta * (1.0 - params.pi), 0.5, min(regions.p1_star, 1.0))
+
+
+def interior_minimizer_B(params: ModelParams, cost: CostSpec, p):
     """Cheapest compromise point in [p0*, 1/2]: today's move vs tomorrow's flip."""
-    regions = region_partition(params, cost)
-    lo = max(regions.p0_star, 0.0)
-    return _interior_minimizer(cost, p, params.beta * params.pi, lo, 0.5)
+    return _like(p, _interior_B(params, cost, region_partition(params, cost), p))
 
 
-def interior_minimizer_C(params: ModelParams, cost: CostSpec, p: float) -> float:
+def interior_minimizer_C(params: ModelParams, cost: CostSpec, p):
     """Mirror of interior_minimizer_B on [1/2, p1*] with weight beta*(1-pi)."""
-    regions = region_partition(params, cost)
-    hi = min(regions.p1_star, 1.0)
-    return _interior_minimizer(cost, p, params.beta * (1.0 - params.pi), 0.5, hi)
+    return _like(p, _interior_C(params, cost, region_partition(params, cost), p))
 
 
-def period1_solve(params: ModelParams, cost: CostSpec, p: float, s: int) -> Period1Solution:
-    """First-period optimum over the four candidate moves.
+def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solution:
+    """First-period optimum over the four candidate moves, at a point p or an array of them.
 
     Candidates: stay put, the two interior compromise points, and the
     jump to 1/2. Ties go to the candidate closest to p, then closest to
-    1/2. The chosen move never increases the distance to 1/2.
+    1/2. The chosen move never increases the distance to 1/2. Everything
+    is elementwise over the points; the region cutoffs are computed once.
     """
+    regions = region_partition(params, cost)
+    points = np.asarray(p, dtype=float)
     candidates = [
-        (p, INACTION),
-        (interior_minimizer_B(params, cost, p), INTERIOR_B),
-        (interior_minimizer_C(params, cost, p), INTERIOR_C),
-        (0.5, MEDIAN),
+        (points, INACTION),
+        (_interior_B(params, cost, regions, points), INTERIOR_B),
+        (_interior_C(params, cost, regions, points), INTERIOR_C),
+        (np.full(points.shape, 0.5), MEDIAN),
     ]
     evaluations = []
     for candidate, provenance in candidates:
         objective = (
             stage_payoff(s, candidate, params.H)
-            - evaluate_cost(cost, candidate - p)
-            + params.beta * expected_continuation_2(params, cost, candidate)
+            - evaluate_cost(cost, candidate - points)
+            + params.beta * _continuation_2(params, cost, regions, candidate)
         )
-        evaluations.append(CandidateEvaluation(candidate, float(objective), provenance))
-    best = _best_candidate(evaluations, p)
-    return Period1Solution(p_next=best.candidate, value=best.objective, candidates=tuple(evaluations))
+        evaluations.append(CandidateEvaluation(candidate, objective, provenance))
+    chosen, value = _best_candidate(evaluations, points)
+    return Period1Solution(
+        p_next=_like(p, chosen), value=_like(p, value), candidates=_evaluations_like(p, evaluations)
+    )
 
 
 def _cost_matrix(cost: CostSpec, grid: Grid) -> np.ndarray:

@@ -55,8 +55,10 @@ from .single_elite import (
     _change,
     _continuation,
     _cost_matrix,
+    _evaluations_like,
     _greedy,
     _greedy_step,
+    _like,
 )
 
 INACTION = "inaction"
@@ -88,59 +90,68 @@ def elite_b_response(params: ModelParams, cost: CostSpec, p1: float, s2: int) ->
     return p1
 
 
-def phi_continuation(params: ModelParams, cost: CostSpec, p0: float) -> float:
-    """Leader's expected second-period payoff if it leaves opinion at p0.
+def phi_continuation(params: ModelParams, cost: CostSpec, p0):
+    """Leader's expected second-period payoff if it leaves opinion at p0 (a point or an array).
 
     Positions at least the flip threshold away from 1/2 are safe on one
     side: the follower will not pay to overturn them. Anything closer is
     flipped whenever the follower wants to, leaving the leader nothing.
     """
-    delta = delta_threshold(cost, params.H)
-    if p0 <= 0.5 - delta:
-        return (1.0 - params.pi) * params.H
-    if p0 >= 0.5 + delta:
-        return params.pi * params.H
-    return 0.0
+    return _like(p0, _phi(params, delta_threshold(cost, params.H), p0))
+
+
+def _phi(params: ModelParams, delta: float, p0) -> np.ndarray:
+    p0 = np.asarray(p0, dtype=float)
+    return np.where(
+        p0 <= 0.5 - delta,
+        (1.0 - params.pi) * params.H,
+        np.where(p0 >= 0.5 + delta, params.pi * params.H, 0.0),
+    )
 
 
 @dataclass(frozen=True)
 class StackelbergSolution:
-    chosen: float
-    value: float
+    """The leader's choice: floats for one point, arrays over an array of points."""
+
+    chosen: float | np.ndarray
+    value: float | np.ndarray
     candidates: tuple[CandidateEvaluation, ...]
-    phi_at_p0: float
+    phi_at_p0: float | np.ndarray
 
 
-def stackelberg_solve(params: ModelParams, cost: CostSpec, p0: float, s1: int) -> StackelbergSolution:
-    """Leader's two-period optimum over the four candidate positions.
+def stackelberg_solve(params: ModelParams, cost: CostSpec, p0, s1: int) -> StackelbergSolution:
+    """Leader's two-period optimum over the four candidate positions, at p0 or an array of them.
 
     Inaction keeps the protected continuation (if any), the median grabs
     today's policy at the price of tomorrow's, and the two semi-lock
     points park opinion just outside the follower's profitable-flip band.
-    Semi-lock points falling outside [0, 1] are infeasible and dropped.
+    Semi-lock points falling outside [0, 1] are infeasible and dropped;
+    that depends on the flip threshold only, so every point has the same
+    candidates. Everything is elementwise over the points.
     """
     H, beta, pi = params.H, params.beta, params.pi
-    phi = phi_continuation(params, cost, p0)
+    points = np.asarray(p0, dtype=float)
     delta = delta_threshold(cost, params.H)
+    phi = _phi(params, delta, points)
     candidates = [
-        CandidateEvaluation(p0, float(stage_payoff(s1, p0, H) + beta * phi), INACTION),
-        CandidateEvaluation(0.5, float(H - evaluate_cost(cost, p0 - 0.5)), MEDIAN),
+        CandidateEvaluation(points, stage_payoff(s1, points, H) + beta * phi, INACTION),
+        CandidateEvaluation(np.full(points.shape, 0.5), H - evaluate_cost(cost, points - 0.5), MEDIAN),
     ]
     if math.isfinite(delta):
         right = 0.5 + delta
         if right <= 1.0:
-            value = H * (s1 == 1) - evaluate_cost(cost, right - p0) + beta * pi * H
-            candidates.append(CandidateEvaluation(right, float(value), SEMI_LOCK_RIGHT))
+            value = H * (s1 == 1) - evaluate_cost(cost, right - points) + beta * pi * H
+            candidates.append(CandidateEvaluation(np.full(points.shape, right), value, SEMI_LOCK_RIGHT))
         left = 0.5 - delta
         if left >= 0.0:
-            value = H * (s1 == 0) - evaluate_cost(cost, p0 - left) + beta * (1.0 - pi) * H
-            candidates.append(CandidateEvaluation(left, float(value), SEMI_LOCK_LEFT))
-    best = _best_candidate(candidates, p0)
+            value = H * (s1 == 0) - evaluate_cost(cost, points - left) + beta * (1.0 - pi) * H
+            candidates.append(CandidateEvaluation(np.full(points.shape, left), value, SEMI_LOCK_LEFT))
+    chosen, value = _best_candidate(candidates, points)
     return StackelbergSolution(
-        chosen=best.candidate,
-        value=best.objective,
-        candidates=tuple(candidates),
-        phi_at_p0=phi,
+        chosen=_like(p0, chosen),
+        value=_like(p0, value),
+        candidates=_evaluations_like(p0, candidates),
+        phi_at_p0=_like(p0, phi),
     )
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import polarsolve as ps
-from polarsolve.model import stage_payoff
+from polarsolve import oracle
+from polarsolve.model import evaluate_cost, implemented_policy, stage_payoff
 from polarsolve.oracle import period2_response_tables, rival_response_tables
 
 PARAMS = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
@@ -117,3 +120,48 @@ def test_oracle_value_never_exceeds_closed_form():
             closed = ps.period1_solve(PARAMS, QUAD10, p, s).value
             res = ps.brute_force_two_period_single(PARAMS, QUAD10, p, s, grid, tables)
             assert res.value <= closed + 1e-12
+
+
+def whole_matrix_tables(params, cost, grid):
+    """Both response tables from one n x n cost matrix: the oracle before it worked in blocks."""
+    pts = grid.points
+    costs = evaluate_cost(cost, pts[:, None] - pts[None, :])  # rows: p2 candidates, cols: p1
+    best = [(stage_payoff(s2, pts, params.H)[:, None] - costs).max(axis=0) for s2 in (0, 1)]
+    expected = np.zeros(grid.n)
+    for s2 in (0, 1):
+        pref = 1 - s2
+        follower_stage = params.H * (implemented_policy(pts, pref) == pref)
+        landed = pts[(follower_stage[:, None] - costs).argmax(axis=0)]
+        prob = params.pi if s2 == 1 else 1.0 - params.pi
+        expected = expected + prob * (params.H * (implemented_policy(landed, pref) == s2))
+    return best, expected
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [QUAD10, ps.CostSpec.quadratic(0.0), ps.CostSpec.from_function(lambda x: 3.0 * x * x + 5.0 * x**4)],
+    ids=["quadratic", "zero", "custom"],
+)
+def test_blocked_tables_equal_whole_matrix_bit_for_bit(cost):
+    grid = ps.build_grid(1001)
+    rows = oracle._BLOCK_BYTES // (8 * grid.n)
+    assert 1 < rows < grid.n and grid.n % rows != 0  # several blocks, the last one short
+    params = ps.ModelParams(pi=0.7, beta=0.9, H=1.0)
+    best, expected = whole_matrix_tables(params, cost, grid)
+    tables = period2_response_tables(params, cost, grid)
+    assert tables.best0.tobytes() == best[0].tobytes()
+    assert tables.best1.tobytes() == best[1].tobytes()
+    assert rival_response_tables(params, cost, grid).leader_continuation.tobytes() == expected.tobytes()
+
+
+def test_response_tables_hold_no_n_by_n_array():
+    grid = ps.build_grid(2001)
+    limit = 8 * grid.n * grid.n // 2  # half of one n x n float64 array, 16 MB
+    tracemalloc.start()
+    try:
+        period2_response_tables(PARAMS, QUAD10, grid)
+        rival_response_tables(PARAMS, QUAD10, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
