@@ -15,6 +15,7 @@ from .model import (
     implemented_policy,
     stage_payoff,
 )
+from .kernel import CandidateEvaluation
 from .oracle import (
     OracleResult,
     brute_force_one_step,
@@ -23,7 +24,6 @@ from .oracle import (
 )
 from .runner import emit_policy_csv, emit_value_csv, read_table_csv, run_config
 from .single_elite import (
-    CandidateEvaluation,
     InfiniteHorizonSolution,
     Period1Solution,
     PolicyTable,

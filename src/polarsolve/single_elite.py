@@ -8,22 +8,8 @@ comparison.
 
 Choices in the iterative solvers are restricted to grid points: the
 majority-rule payoff jumps at 1/2 and interpolating across the threshold
-would smooth away exactly the discontinuity the model is about.
-
-Tie-breaking everywhere: highest value, then smallest movement |p' - p|,
-then closest to 1/2, then the mover's preferred side. The last two rungs
-only matter in degenerate cases (e.g. zero cost); the rule is chosen so
-that mirror symmetry of the solution is exact, not approximate.
-
-Every dense maximisation max_j base[j] - c(p_j - p_i), here and in the
-two-elite module, goes through one kernel, `_greedy`, which applies the
-tie ladder on every call; every Bellman sweep, here and in the two-elite
-backward step, is one `_greedy_step` over both states. The kernel reads
-the cost matrix source-major: grid displacements are exact, so the
-matrix is exactly symmetric and row i is the cost of every move out of
-source i. The kernel works through the sources in blocks of rows that
-fit a fixed byte budget, so the only n x n array a solver holds is the
-cost matrix itself.
+would smooth away exactly the discontinuity the model is about. Every
+choice is scored and tie-broken in the kernel module.
 """
 
 from __future__ import annotations
@@ -34,6 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid
+from .kernel import (
+    CandidateEvaluation,
+    best_candidate,
+    cost_matrix,
+    expected_next,
+    greedy_step,
+    like,
+    move_cost,
+    stage_payoffs,
+    sup_change,
+)
 from .model import (
     QUADRATIC,
     CostSpec,
@@ -63,48 +60,6 @@ class RegionPartition:
     p0_star: float
     p1_star: float
     delta: float
-
-
-@dataclass(frozen=True)
-class CandidateEvaluation:
-    """One candidate move and its objective.
-
-    Floats when the solver was called at one point; arrays over the
-    points when it was called with an array of them.
-    """
-
-    candidate: float | np.ndarray
-    objective: float | np.ndarray
-    provenance: str
-
-
-def _best_candidate(evaluations, p):
-    """Per point, the highest objective; ties go to the candidate closest to p, then to 1/2,
-    then to the first listed.
-
-    evaluations hold arrays over the points p. Returns (candidate, objective).
-    """
-    best, top = evaluations[0].candidate, evaluations[0].objective
-    for e in evaluations[1:]:
-        move, best_move = np.abs(e.candidate - p), np.abs(best - p)
-        better = (e.objective > top) | (
-            (e.objective == top)
-            & ((move < best_move) | ((move == best_move) & (np.abs(e.candidate - 0.5) < np.abs(best - 0.5))))
-        )
-        best = np.where(better, e.candidate, best)
-        top = np.where(better, e.objective, top)
-    return best, top
-
-
-def _like(p, out):
-    """out, an array over the points of p, as a float when p is one point."""
-    return float(out) if np.ndim(p) == 0 else out
-
-
-def _evaluations_like(p, evaluations) -> tuple[CandidateEvaluation, ...]:
-    return tuple(
-        CandidateEvaluation(_like(p, e.candidate), _like(p, e.objective), e.provenance) for e in evaluations
-    )
 
 
 @dataclass(frozen=True)
@@ -146,7 +101,7 @@ class InfiniteHorizonSolution:
     smallest gap between a source's best and runner-up destination
     scores there, over the sources (both states) whose best is not an
     exact tie; None when every source ties. exact_ties counts the sources
-    the tie ladder settled.
+    the tie rule settled.
     """
 
     value: ValueTable
@@ -181,7 +136,7 @@ def expected_continuation_2(params: ModelParams, cost: CostSpec, p_next):
     and bent by the anticipated flip cost on the inner bands. Boundaries
     belong to the inner branches; the formulas agree there.
     """
-    return _like(p_next, _continuation_2(params, cost, region_partition(params, cost), p_next))
+    return like(p_next, _continuation_2(params, cost, region_partition(params, cost), p_next))
 
 
 def _continuation_2(params: ModelParams, cost: CostSpec, regions: RegionPartition, p_next) -> np.ndarray:
@@ -266,20 +221,20 @@ def _interior_C(params: ModelParams, cost: CostSpec, regions: RegionPartition, p
 
 def interior_minimizer_B(params: ModelParams, cost: CostSpec, p):
     """Cheapest compromise point in [p0*, 1/2]: today's move vs tomorrow's flip."""
-    return _like(p, _interior_B(params, cost, region_partition(params, cost), p))
+    return like(p, _interior_B(params, cost, region_partition(params, cost), p))
 
 
 def interior_minimizer_C(params: ModelParams, cost: CostSpec, p):
     """Mirror of interior_minimizer_B on [1/2, p1*] with weight beta*(1-pi)."""
-    return _like(p, _interior_C(params, cost, region_partition(params, cost), p))
+    return like(p, _interior_C(params, cost, region_partition(params, cost), p))
 
 
 def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solution:
     """First-period optimum over the four candidate moves, at a point p or an array of them.
 
     Candidates: stay put, the two interior compromise points, and the
-    jump to 1/2. Ties go to the candidate closest to p, then closest to
-    1/2. The chosen move never increases the distance to 1/2. Everything
+    jump to 1/2, compared by kernel.best_candidate. The chosen move
+    never increases the distance to 1/2. Everything
     is elementwise over the points; the region cutoffs are computed once.
     """
     regions = region_partition(params, cost)
@@ -298,165 +253,34 @@ def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solu
             + params.beta * _continuation_2(params, cost, regions, candidate)
         )
         evaluations.append(CandidateEvaluation(candidate, objective, provenance))
-    chosen, value = _best_candidate(evaluations, points)
-    return Period1Solution(
-        p_next=_like(p, chosen), value=_like(p, value), candidates=_evaluations_like(p, evaluations)
-    )
+    return Period1Solution(*best_candidate(evaluations, points))
 
 
-def _cost_matrix(cost: CostSpec, grid: Grid) -> np.ndarray:
-    """costs[i, j] = c(points[i] - points[j]), an exactly symmetric matrix.
-
-    Grid displacements are exact and c depends on |x| only, so
-    costs[i, j] == costs[j, i] bit for bit: row i holds the cost of every
-    move out of source i, and the greedy kernel reads it row by row.
-    """
-    disp = grid.points[:, None] - grid.points[None, :]
-    return evaluate_cost(cost, disp)
-
-
-def _stages(params: ModelParams, grid: Grid) -> list:
-    """The mover's stage payoff at every grid point, for s = 0 and s = 1."""
-    return [stage_payoff(s, grid.points, params.H) for s in (0, 1)]
-
-
-# Bytes of scores the greedy kernel holds at once. A block of rows this
-# size stays in a core's cache while it is reduced and tested for ties.
-_BLOCK_BYTES = 256 * 1024
-
-
-def _greedy(
-    base: np.ndarray,
-    costmat: np.ndarray,
-    grid: Grid,
-    prefer_right: bool,
-    gap: np.ndarray | None = None,
-):
-    """Per source i, the best destination j of base[j] - costmat[i, j].
-
-    Returns (idx, best). Ties in the score go to the smallest movement
-    |p' - p|, then to the point closest to 1/2, then to the mover's
-    preferred side, then to the lower index. Only the nearest tied
-    destination at or below the source and the nearest at or above it
-    can win the first rung, so the ladder compares just those two, for
-    tied sources only. A gap array, if given, receives each source's best
-    score minus its runner-up: 0 exactly where the ladder settled a tie.
-
-    Sources are taken in blocks of rows of _BLOCK_BYTES, so no n x n
-    array of scores is ever formed.
-    """
-    n = base.size
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    buf = np.empty((min(rows, n), n))
-    best = np.empty(n)
-    idx = np.empty(n, dtype=np.intp)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        scores = buf[: stop - start]
-        np.subtract(base, costmat[start:stop], out=scores)
-        r = np.arange(stop - start)
-        block_idx = scores.argmax(axis=1)
-        block_best = scores[r, block_idx]
-        idx[start:stop] = block_idx
-        best[start:stop] = block_best
-        # A source is tied when its best score recurs with the argmax masked.
-        scores[r, block_idx] = -np.inf
-        runner_up = scores.max(axis=1)
-        if gap is not None:
-            np.subtract(block_best, runner_up, out=gap[start:stop])
-        tied_rows = np.flatnonzero(runner_up == block_best)
-        if not tied_rows.size:
-            continue
-        scores[r, block_idx] = block_best
-        tied = (scores == block_best[:, None])[tied_rows]
-        # Tied destinations of every tied source, as sorted positions in one
-        # flat array: tied source r owns positions offset[r] to offset[r] + n - 1.
-        counts = np.count_nonzero(tied, axis=1)
-        pos = np.flatnonzero(tied)
-        offset = np.arange(tied_rows.size) * n
-        first = np.cumsum(counts) - counts  # where each source's run starts in pos
-        src = start + tied_rows
-        below = np.searchsorted(pos, offset + src, side="right") - 1
-        above = np.searchsorted(pos, offset + src)
-        # A source tied on one side of itself only keeps that side's destination.
-        has_lo, has_hi = below >= first, above < first + counts
-        lo = pos[np.where(has_lo, below, above)] - offset
-        hi = pos[np.where(has_hi, above, below)] - offset
-        idx[src] = _ladder(lo, hi, src, grid.points, prefer_right)
-    return idx, best
-
-
-def _ladder(lo, hi, src, pts, prefer_right: bool) -> np.ndarray:
-    """Pick lo or hi (lo <= src <= hi, equal scores) by the tie rungs."""
-    move_lo, move_hi = np.abs(pts[lo] - pts[src]), np.abs(pts[hi] - pts[src])
-    mid_lo, mid_hi = np.abs(pts[lo] - 0.5), np.abs(pts[hi] - 0.5)
-    # Equidistant pair straddling 1/2: take the mover's preferred side.
-    if prefer_right:
-        side_lo, side_hi = pts[lo] > 0.5, pts[hi] > 0.5
-    else:
-        side_lo, side_hi = pts[lo] < 0.5, pts[hi] < 0.5
-    take_hi = (move_hi < move_lo) | (
-        (move_hi == move_lo) & ((mid_hi < mid_lo) | ((mid_hi == mid_lo) & side_hi & ~side_lo))
-    )
-    return np.where(take_hi, hi, lo)
-
-
-def _greedy_step(
-    beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid, gaps=None
-):
-    """One Bellman sweep over both states, keeping the maximising destinations.
-
-    Returns (idx, best), one array per state, with the module's
-    tie-breaking; gaps, if given, has one row per state, filled as in _greedy.
-    """
-    idx, best = [], []
-    for s, stage in enumerate(stages):
-        gap = None if gaps is None else gaps[s]
-        i, b = _greedy(stage + beta * continuation, costmat, grid, prefer_right=(s == 1), gap=gap)
-        idx.append(i)
-        best.append(b)
-    return idx, best
-
-
-def _policy(
-    beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid, gaps=None
-) -> PolicyTable:
-    """The greedy moves against a continuation, with the module's tie-breaking."""
-    idx, _ = _greedy_step(beta, stages, costmat, continuation, grid, gaps)
+def _policy(beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid) -> PolicyTable:
+    """The greedy moves against a continuation."""
+    idx, _ = greedy_step(beta, stages, costmat, continuation, grid)
     return PolicyTable(grid=grid, sigma0=grid.points[idx[0]], sigma1=grid.points[idx[1]])
 
 
-def _continuation(pi: float, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """Expected next-period value of each landing point, before the state draws."""
-    return pi * v1 + (1.0 - pi) * v0
-
-
-def _change(new: list, old: list) -> float:
-    # np.max, unlike the builtin max(0.0, nan), lets a NaN through.
-    return float(np.max([np.abs(a - b).max() for a, b in zip(new, old)]))
-
-
-def _evaluate(params: ModelParams, stages: list, costmat: np.ndarray, idx: list, v: list) -> int:
+def _evaluate(params: ModelParams, stages: list, cost: CostSpec, grid: Grid, idx: list, v: list) -> int:
     """Sweep the tables under fixed destinations idx, in place, until the change stops shrinking.
 
-    Each sweep scores destination idx_s[i] exactly as a dense sweep
-    does, (stage_s + beta * w)[j] - costmat[i, j] with w the
-    continuation, but gathers it instead of maximising: O(n), not O(n^2).
-    The fixed-policy operator contracts by beta, so its change stops
-    shrinking only at the rounding level (or on a NaN). Returns the
-    number of sweeps.
+    Each sweep scores destination idx_s[i] exactly as a dense sweep does,
+    (stage_s + beta * w)[j] - c(p_i - p_j) with w the continuation, but
+    only that one: O(n), not O(n^2). The fixed-policy operator contracts
+    by beta, so its change stops shrinking only at the rounding level (or
+    on a NaN). Returns the number of sweeps.
     """
     beta, pi = params.beta, params.pi
-    rows = np.arange(costmat.shape[0])
     stage_at = [stage[i] for stage, i in zip(stages, idx)]
-    move_cost = [costmat[rows, i] for i in idx]
+    costs = [move_cost(cost, grid, i) for i in idx]
     sweeps = 0
     last = math.inf
     while True:
-        continuation = _continuation(pi, *v)
-        new = [st + beta * continuation[i] - mc for st, i, mc in zip(stage_at, idx, move_cost)]
+        continuation = expected_next(pi, *v)
+        new = [st + beta * continuation[i] - mc for st, i, mc in zip(stage_at, idx, costs)]
         sweeps += 1
-        change = _change(new, v)
+        change = sup_change(new, v)
         v[:] = new
         if not change < last:
             return sweeps
@@ -465,9 +289,9 @@ def _evaluate(params: ModelParams, stages: list, costmat: np.ndarray, idx: list,
 
 def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable) -> ValueTable:
     """One synchronous sweep of the Bellman operator over the grid."""
-    continuation = _continuation(params.pi, v.v0, v.v1)
-    stages, costmat = _stages(params, grid), _cost_matrix(cost, grid)
-    _, (v0, v1) = _greedy_step(params.beta, stages, costmat, continuation, grid)
+    continuation = expected_next(params.pi, v.v0, v.v1)
+    stages, costmat = stage_payoffs(params, grid), cost_matrix(cost, grid)
+    _, (v0, v1) = greedy_step(params.beta, stages, costmat, continuation, grid)
     return ValueTable(grid=grid, v0=v0, v1=v1)
 
 
@@ -497,25 +321,25 @@ def solve_infinite(
     residual (0.0 at the fixed point), and the policy is extracted once
     more against those tables.
     """
-    costmat = _cost_matrix(cost, grid)
-    stages = _stages(params, grid)
+    costmat = cost_matrix(cost, grid)
+    stages = stage_payoffs(params, grid)
     v = [np.zeros(grid.n), np.zeros(grid.n)]
     gaps = np.empty((2, grid.n))
     residual = math.inf
     iterations = evaluation_sweeps = 0
     settled = False
     while iterations < max_iter:
-        idx, new = _greedy_step(params.beta, stages, costmat, _continuation(params.pi, *v), grid, gaps)
+        idx, new = greedy_step(params.beta, stages, costmat, expected_next(params.pi, *v), grid, gaps)
         iterations += 1
-        residual = _change(new, v)
+        residual = sup_change(new, v)
         v = new
         if residual == 0.0 or iterations == max_iter:
             break
         settled = settled or residual <= _FEW_ULPS * np.spacing(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
         if not settled:
-            evaluation_sweeps += _evaluate(params, stages, costmat, idx, v)
+            evaluation_sweeps += _evaluate(params, stages, cost, grid, idx, v)
     if residual != 0.0:
-        idx, _ = _greedy_step(params.beta, stages, costmat, _continuation(params.pi, *v), grid, gaps)
+        idx, _ = greedy_step(params.beta, stages, costmat, expected_next(params.pi, *v), grid, gaps)
     untied = gaps[gaps > 0.0]
     return InfiniteHorizonSolution(
         value=ValueTable(grid=grid, v0=v[0], v1=v[1]),
@@ -606,10 +430,10 @@ def compare_cost_technologies(
         raise ValueError("costlier technology does not cost-dominate the base")
     sol_base = solve_infinite(params, cost_base, grid, max_iter=max_iter)
     if mode == "fixed":
-        continuation = _continuation(params.pi, sol_base.value.v0, sol_base.value.v1)
-        stages = _stages(params, grid)
-        policy_base = _policy(params.beta, stages, _cost_matrix(cost_base, grid), continuation, grid)
-        policy_costlier = _policy(params.beta, stages, _cost_matrix(cost_costlier, grid), continuation, grid)
+        continuation = expected_next(params.pi, sol_base.value.v0, sol_base.value.v1)
+        stages = stage_payoffs(params, grid)
+        policy_base = _policy(params.beta, stages, cost_matrix(cost_base, grid), continuation, grid)
+        policy_costlier = _policy(params.beta, stages, cost_matrix(cost_costlier, grid), continuation, grid)
     else:
         policy_base = sol_base.policy
         policy_costlier = solve_infinite(params, cost_costlier, grid, max_iter=max_iter).policy

@@ -22,14 +22,12 @@ is left to the residual stop: the next step then moves nothing.
 B is A with the roles swapped. In state s, B's problem is A's problem in
 state s reflected through p -> 1 - p, at any pi: B's stage and waiting
 payoffs at 1 - p equal A's at p, grid displacements and hence costs are
-exact under the reflection, and the tie ladder (smallest movement, then
-toward 1/2, then the mover's preferred side) is mirror-symmetric, since
-A prefers the right in the state where B prefers the left. On
+exact under the reflection, and the kernel's tie rule is mirror-symmetric,
+since A prefers the right in the state where B prefers the left. On
 mirror-closed grids, such as those of build_grid, B's tables are
 therefore A's reversed bit for bit (vB_s = vA_s[::-1], uB = uA[::-1],
 idxB_s = (n - 1) - idxA_s[::-1]), so the backward induction solves A
-alone and reads B off by reversal. check_no_deviation, a verifier,
-re-solves all four movers independently and does not use the mirror.
+alone and reads B off by reversal; check_no_deviation re-solves B.
 """
 
 from __future__ import annotations
@@ -49,16 +47,16 @@ from .model import (
     implemented_policy,
     stage_payoff,
 )
-from .single_elite import (
+from .kernel import (
     CandidateEvaluation,
-    _best_candidate,
-    _change,
-    _continuation,
-    _cost_matrix,
-    _evaluations_like,
-    _greedy,
-    _greedy_step,
-    _like,
+    best_candidate,
+    cost_matrix,
+    expected_next,
+    greedy_step,
+    like,
+    move_cost,
+    stage_payoffs,
+    sup_change,
 )
 
 INACTION = "inaction"
@@ -97,7 +95,7 @@ def phi_continuation(params: ModelParams, cost: CostSpec, p0):
     side: the follower will not pay to overturn them. Anything closer is
     flipped whenever the follower wants to, leaving the leader nothing.
     """
-    return _like(p0, _phi(params, delta_threshold(cost, params.H), p0))
+    return like(p0, _phi(params, delta_threshold(cost, params.H), p0))
 
 
 def _phi(params: ModelParams, delta: float, p0) -> np.ndarray:
@@ -146,13 +144,7 @@ def stackelberg_solve(params: ModelParams, cost: CostSpec, p0, s1: int) -> Stack
         if left >= 0.0:
             value = H * (s1 == 0) - evaluate_cost(cost, points - left) + beta * (1.0 - pi) * H
             candidates.append(CandidateEvaluation(np.full(points.shape, left), value, SEMI_LOCK_LEFT))
-    chosen, value = _best_candidate(candidates, points)
-    return StackelbergSolution(
-        chosen=_like(p0, chosen),
-        value=_like(p0, value),
-        candidates=_evaluations_like(p0, candidates),
-        phi_at_p0=_like(p0, phi),
-    )
+    return StackelbergSolution(*best_candidate(candidates, points), phi_at_p0=like(p0, phi))
 
 
 @dataclass(frozen=True)
@@ -225,8 +217,8 @@ def mpe_solve(
     if not np.array_equal(1.0 - pts, pts[::-1]):
         raise ValueError("mpe_solve needs a mirror-closed grid (1 - p on the grid for every p)")
     last = grid.n - 1
-    costmat = _cost_matrix(cost, grid)
-    stage = [stage_payoff(_preferred(ELITE_A, s), pts, params.H) for s in (0, 1)]
+    costmat = cost_matrix(cost, grid)
+    stage = stage_payoffs(params, grid)
     # Payoff to A, waiting, when B lands on each point in state s.
     waiting_stage = [
         params.H * (implemented_policy(pts, _preferred(ELITE_B, s)) == s) for s in (0, 1)
@@ -240,16 +232,16 @@ def mpe_solve(
     seen = {}  # digest of A's waiting values -> the first step that left them
     steps, end = 0, horizon
     while steps < end:
-        new_idx, new_v = _greedy_step(beta, stage, costmat, u, grid)
+        new_idx, new_v = greedy_step(beta, stage, costmat, u, grid)
         # A waits while B moves; B's landing from p is the mirror of A's from 1 - p.
-        continuation = _continuation(pi, *new_v)
+        continuation = expected_next(pi, *new_v)
         fresh = np.zeros(grid.n)
         for s in (0, 1):
             landing = last - new_idx[s][::-1]
             prob = pi if s == 1 else 1.0 - pi
             fresh = fresh + prob * (waiting_stage[s][landing] + beta * continuation[landing])
         # B's changes mirror A's and have the same sup norm.
-        residual = _change([*new_v, fresh], [*v, u])
+        residual = sup_change([*new_v, fresh], [*v, u])
         v, u, policy_idx = new_v, fresh, new_idx
         steps += 1
         if residual <= residual_tol:
@@ -289,24 +281,30 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
     tables and compares the best deviation both to the recorded mover
     value and to the value of playing the recorded policy. For a
     converged solution the gain is bounded by the residual; a corrupted
-    value or policy entry shows up as a strictly positive gain. All four
-    movers are re-solved independently: the A/B mirror that mpe_solve
-    relies on is not assumed here, so a wrong B table shows up too.
+    value or policy entry shows up as a strictly positive gain, and one
+    off the grid raises ValueError. All four movers are re-solved
+    independently: the A/B mirror that mpe_solve relies on is not
+    assumed here, so a wrong B table shows up too.
     """
     grid = sol.grid
-    costmat = _cost_matrix(cost, grid)
-    sources = np.arange(grid.n)
+    costmat = cost_matrix(cost, grid)
+    stages = stage_payoffs(params, grid)
     worst = -math.inf
     for elite in (ELITE_A, ELITE_B):
         waiting = sol.waiting_values(elite)
+        # The Bellman step's state s is the mover who prefers policy s.
+        _, best = greedy_step(params.beta, stages, costmat, waiting, grid)
         for s in (0, 1):
             pref = _preferred(elite, s)
-            base = stage_payoff(pref, grid.points, params.H) + params.beta * waiting
-            _, best = _greedy(base, costmat, grid, prefer_right=pref == 1)
-            recorded = np.rint(sol.moves(elite, s) * (grid.n - 1)).astype(int)
-            played = base[recorded] - costmat[recorded, sources]
+            moves = sol.moves(elite, s)
+            recorded = np.minimum(np.searchsorted(grid.points, moves), grid.n - 1)
+            off = np.flatnonzero(grid.points[recorded] != moves)
+            if off.size:
+                p, move = float(grid.points[off[0]]), float(moves[off[0]])
+                raise ValueError(f"elite {elite}, state {s}: the move at p={p!r} is {move!r}, not a grid point")
+            played = stages[pref][recorded] + params.beta * waiting[recorded] - move_cost(cost, grid, recorded)
             gain = float(
-                max((best - sol.mover_values(elite, s)).max(), (best - played).max())
+                max((best[pref] - sol.mover_values(elite, s)).max(), (best[pref] - played).max())
             )
             worst = max(worst, gain)
     return worst

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from polarsolve.model import implemented_policy
-from polarsolve.single_elite import _cost_matrix
+from polarsolve.kernel import cost_matrix
 from polarsolve.two_elite import MpeSolution
 from tie_reference import greedy_by_column
 
@@ -32,7 +32,7 @@ def reference_steps(params, cost, grid):
     v and idx are keyed by (elite, s), u by elite.
     """
     pi, beta, pts = params.pi, params.beta, grid.points
-    costmat = _cost_matrix(cost, grid)
+    costmat = cost_matrix(cost, grid)
     movers = [(e, s) for e in ELITES for s in (0, 1)]
     stage = {}
     for elite, s in movers:

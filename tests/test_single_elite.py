@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
-from polarsolve import single_elite
+from polarsolve import kernel
 from polarsolve.model import evaluate_cost, stage_payoff
-from polarsolve.single_elite import ValueTable, _cost_matrix, _greedy, _policy, _stages, bellman_apply
+from polarsolve.kernel import cost_matrix, greedy, move_cost, stage_payoffs
+from polarsolve.single_elite import ValueTable, _policy, bellman_apply
 from tie_reference import break_tie
 from vi_reference import vi_reference
 
@@ -304,8 +305,8 @@ def test_solve_infinite_decision_margins(max_iter):
     assert 0 <= sol.exact_ties < 2 * grid.n
     assert sol.min_margin > 0.0
     continuation = PARAMS.pi * sol.value.v1 + (1.0 - PARAMS.pi) * sol.value.v0
-    costmat = _cost_matrix(QUAD10, grid)
-    policy = _policy(PARAMS.beta, _stages(PARAMS, grid), costmat, continuation, grid)
+    costmat = cost_matrix(QUAD10, grid)
+    policy = _policy(PARAMS.beta, stage_payoffs(PARAMS, grid), costmat, continuation, grid)
     assert np.array_equal(sol.policy.sigma0, policy.sigma0)
     assert np.array_equal(sol.policy.sigma1, policy.sigma1)
     # best minus runner-up score of every source, from the full score matrix
@@ -387,14 +388,14 @@ def test_greedy_matches_per_column_tie_ladder(half, k, rows, data):
     grid = ps.build_grid(2 * half + 1)
     levels = data.draw(st.lists(st.integers(0, 3), min_size=grid.n, max_size=grid.n))
     base = np.array(levels, dtype=float)
-    costmat = _cost_matrix(ps.CostSpec.quadratic(k), grid)
+    costmat = cost_matrix(ps.CostSpec.quadratic(k), grid)
     scores = base[:, None] - costmat  # scores[j, i]: destination j from source i
     ranked = np.sort(scores, axis=0)
     recurs = np.count_nonzero(scores == ranked[-1], axis=0) > 1
-    with mock.patch.object(single_elite, "_BLOCK_BYTES", rows * 8 * grid.n):
+    with mock.patch.object(kernel, "_BLOCK_BYTES", rows * 8 * grid.n):
         for prefer_right in (False, True):
             gap = np.empty(grid.n)
-            idx, best = _greedy(base, costmat, grid, prefer_right, gap)
+            idx, best = greedy(base, costmat, grid, prefer_right, gap)
             want = [
                 break_tie(np.flatnonzero(scores[:, i] == scores[:, i].max()), i, grid, prefer_right)
                 for i in range(grid.n)
@@ -406,10 +407,29 @@ def test_greedy_matches_per_column_tie_ladder(half, k, rows, data):
             assert np.array_equal(gap == 0.0, recurs)
 
 
+@pytest.mark.parametrize("prefer_right", [False, True])
+def test_greedy_straddle_tie_goes_to_preferred_side(prefer_right):
+    # source 1/2 scores lower than 1/2 -+ d, which tie on score, movement and distance to 1/2
+    grid = ps.build_grid(21)
+    mid, d = grid.mid, 3
+    base = np.zeros(grid.n)
+    base[mid] = 0.5
+    base[mid - d] = base[mid + d] = 1.0
+    costmat = cost_matrix(ps.CostSpec.quadratic(1.0), grid)
+    column = base - costmat[mid]
+    tied = np.flatnonzero(column == column.max())
+    assert tied.tolist() == [mid - d, mid + d]
+    idx, _ = greedy(base, costmat, grid, prefer_right)
+    assert idx[mid] == (mid + d if prefer_right else mid - d)
+    assert idx[mid] == break_tie(tied, mid, grid, prefer_right)
+
+
 def test_cost_matrix_is_exactly_symmetric():
     # the kernel reads row i as the moves out of source i
     grid = ps.build_grid(101)
     custom = ps.CostSpec.from_function(lambda x: 3.0 * x * x + x**4)
+    idx = np.random.default_rng(0).integers(0, grid.n, grid.n)
     for cost in (QUAD10, ps.CostSpec.quadratic(0.3), custom):
-        costmat = _cost_matrix(cost, grid)
+        costmat = cost_matrix(cost, grid)
         assert np.array_equal(costmat, costmat.T)
+        assert move_cost(cost, grid, idx).tobytes() == costmat[np.arange(grid.n), idx].tobytes()

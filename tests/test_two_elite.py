@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ def test_check_no_deviation_detects_policy_corruption():
         horizon_used=sol.horizon_used, residual=sol.residual, converged=sol.converged,
     )
     assert ps.check_no_deviation(PARAMS, QUAD10, bad) > 0.1
+
+
+@pytest.mark.parametrize("entry", [0.208, math.nan])
+def test_check_no_deviation_rejects_off_grid_moves(entry):
+    # an entry between grid points (0.2 and 0.22) must not be checked as its
+    # nearest grid point, and a NaN must not become an index
+    grid = ps.build_grid(51)
+    cost = ps.CostSpec.quadratic(0.0)
+    sol = ps.mpe_solve(PARAMS, cost, grid)
+    assert sol.sigmaA0[10] == grid.points[10]
+    broken = sol.sigmaA0.copy()
+    broken[10] = entry
+    bad = dataclasses.replace(sol, sigmaA0=broken)
+    message = f"elite A, state 0: the move at p={float(grid.points[10])!r} is {entry!r}, not a grid point"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ps.check_no_deviation(PARAMS, cost, bad)
 
 
 def test_check_no_deviation_exact_on_injected_fixed_point():

@@ -3,7 +3,7 @@
 This is the ladder the solvers used point by point before it was
 vectorised: highest score, then the smallest movement |p' - p|, then the
 point closest to 1/2, then the mover's preferred side, then the lower
-index. Tests compare the solvers' `_greedy` against it.
+index. Tests compare `kernel.greedy`, the solvers' one grid kernel, against it.
 """
 
 import numpy as np

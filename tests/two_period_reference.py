@@ -12,12 +12,12 @@ import math
 import numpy as np
 
 from polarsolve.model import QUADRATIC, delta_threshold, evaluate_cost, stage_payoff
+from polarsolve.kernel import CandidateEvaluation
 from polarsolve.single_elite import (
     INACTION,
     INTERIOR_B,
     INTERIOR_C,
     MEDIAN,
-    CandidateEvaluation,
     Period1Solution,
     golden_section_min,
     region_partition,

@@ -2,7 +2,8 @@
 
 This is the loop `single_elite.solve_infinite` ran before it switched to
 modified policy iteration, with the tolerance stop replaced by an exact
-repeat: Bellman sweeps from zero tables, nothing else. The policy is
+repeat: Bellman sweeps from zero tables, each one `kernel.greedy` per
+state, nothing else. The policy is
 extracted afterwards against the repeated tables, not read off the last
 sweep. The tests that compare `solve_infinite` with it check that the
 faster solver lands on the same float tables and policy.
@@ -10,17 +11,18 @@ faster solver lands on the same float tables and policy.
 
 import numpy as np
 
-from polarsolve.single_elite import _cost_matrix, _greedy_step, _policy, _stages
+from polarsolve.kernel import cost_matrix, greedy_step, stage_payoffs
+from polarsolve.single_elite import _policy
 
 
 def vi_reference(params, cost, grid, max_sweeps=100_000):
     """(v0, v1, policy, sweeps) at the first table that a sweep returns unchanged."""
-    costmat = _cost_matrix(cost, grid)
-    stages = _stages(params, grid)
+    costmat = cost_matrix(cost, grid)
+    stages = stage_payoffs(params, grid)
     v0, v1 = np.zeros(grid.n), np.zeros(grid.n)
     for sweeps in range(1, max_sweeps + 1):
         continuation = params.pi * v1 + (1.0 - params.pi) * v0
-        _, (new0, new1) = _greedy_step(params.beta, stages, costmat, continuation, grid)
+        _, (new0, new1) = greedy_step(params.beta, stages, costmat, continuation, grid)
         if np.array_equal(new0, v0) and np.array_equal(new1, v1):
             return v0, v1, _policy(params.beta, stages, costmat, continuation, grid), sweeps
         v0, v1 = new0, new1
