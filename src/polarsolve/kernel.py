@@ -17,6 +17,36 @@ solutions is exact, not approximate.
 Only this module reads the cost matrix. greedy takes its rows in blocks
 within a fixed byte budget, so the matrix is the only n x n array a
 solver holds; move_cost scores one given move per source without it.
+
+CertifiedSteps skips the scoring of a source whose destination a
+remembered step r proves still wins strictly at step t. The cost matrix
+C is the same at every step, and only the bases b (stage + beta * u)
+move. Let S[i, j] = fl(b[j] - C[i, j]) be the float scores, j* the
+destination source i took at r, and h its recorded gap: a dense call's
+fl(S_r[i, j*] - runner-up), or a bound a certificate proved, at most
+S_r[i, j*] - S_r[i, j] for every j != j* in exact arithmetic. With
+D = fl(b_t - b_r), source i keeps j* iff h > thr, where
+thr = fl(fl(max D - D[j*]) + 6.5 eps). Here eps = spacing(M), with
+M = 2 fl(max|b_t| + max|b_r| + max|C|). A float sum of non-negative
+terms is monotone in each of them and more than half the exact sum, so M
+exceeds every |b[j] - C[i, j]| and every |b_t[j] - b_r[j]|, and bounds
+every gap of S_r (at most twice max|S_r|). A rounding whose exact result
+lies within M errs by at most eps / 2, one within 2M by at most eps. The
+6.5 eps are:
+- eps / 2 for the rounding of a dense gap, which lies within M;
+- 2 eps for the four roundings fl(b[j] - C[i, j]), of j* and j at r and
+  t (C cancels exactly from the unrounded differences);
+- eps for the two entries of D, those of j* and j;
+- eps for fl(max D - D[j*]);
+- eps for adding the slop: thr < h <= 2M when the test passes, so its
+  exact value is below 2M;
+- eps for the new bound fl(h - thr).
+Together, S_t[i, j*] - S_t[i, j] >= h - thr + eps >= fl(h - thr) > 0 for
+every j != j*. So j* is the unique float argmax at t, the tie rule is
+never reached, and greedy would return j* with the best score
+fl(b_t[j*] - C[i, j*]); fl(h - thr) is a proved bound, so certificates
+chain. A tie records a gap of 0, which never passes. A NaN, or an
+overflow to inf in M, fails the comparison, so its source is rescored.
 """
 
 from __future__ import annotations
@@ -100,24 +130,29 @@ def greedy(
     grid: Grid,
     prefer_right: bool,
     gap: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ):
     """Per source i, the best destination j of base[j] - costmat[i, j].
 
     Returns (idx, best). A tied source goes to lo or hi by the tie rule
     (see the module docstring). A gap array, if given, receives each
     source's best score minus its runner-up: 0 exactly where a tie was
-    settled. No n x n array of scores is ever formed.
+    settled. rows, if given, is an array of sources: only those are
+    scored, and idx, best and gap run over them, each entry equal to the
+    full call's at its source. No n x n array of scores is ever formed.
     """
     n = base.size
+    m = n if rows is None else rows.size
     pts = grid.points
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    buf = np.empty((min(rows, n), n))
-    best = np.empty(n)
-    idx = np.empty(n, dtype=np.intp)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    buf = np.empty((min(block, m), n))
+    best = np.empty(m)
+    idx = np.empty(m, dtype=np.intp)
+    for start in range(0, m, block):
+        stop = min(start + block, m)
         scores = buf[: stop - start]
-        np.subtract(base, costmat[start:stop], out=scores)
+        moves = costmat[start:stop] if rows is None else costmat[rows[start:stop]]
+        np.subtract(base, moves, out=scores)
         r = np.arange(stop - start)
         block_idx = scores.argmax(axis=1)
         block_best = scores[r, block_idx]
@@ -125,9 +160,7 @@ def greedy(
         best[start:stop] = block_best
         # A source is tied when its best score recurs with the argmax masked.
         scores[r, block_idx] = -np.inf
-        runner_up = scores.max(axis=1)
-        if gap is not None:
-            np.subtract(block_best, runner_up, out=gap[start:stop])
+        runner_up = scores.max(axis=1, out=None if gap is None else gap[start:stop])
         tied_rows = np.flatnonzero(runner_up == block_best)
         if not tied_rows.size:
             continue
@@ -139,7 +172,8 @@ def greedy(
         pos = np.flatnonzero(tied)
         offset = np.arange(tied_rows.size) * n
         first = np.cumsum(counts) - counts  # where each source's run starts in pos
-        src = start + tied_rows
+        at = start + tied_rows
+        src = at if rows is None else rows[at]
         below = np.searchsorted(pos, offset + src, side="right") - 1
         above = np.searchsorted(pos, offset + src)
         # A source tied on one side of itself only keeps that side's destination.
@@ -147,7 +181,9 @@ def greedy(
         lo = pos[np.where(has_lo, below, above)] - offset
         hi = pos[np.where(has_hi, above, below)] - offset
         near, far = (hi, lo) if prefer_right else (lo, hi)
-        idx[src] = np.where(_wins_tie(pts[far], pts[near], pts[src]), far, near)
+        idx[at] = np.where(_wins_tie(pts[far], pts[near], pts[src]), far, near)
+    if gap is not None:
+        np.subtract(best, gap, out=gap)  # gap held the runner-up scores
     return idx, best
 
 
@@ -165,6 +201,116 @@ def greedy_step(
         idx.append(i)
         best.append(b)
     return idx, best
+
+
+# Steps a CertifiedSteps remembers. An exact cycle of period P is certified
+# against the same phase P steps back, and the longest MPE period measured
+# (pi = 0.7, k = 10, n = 2001) is 26.
+_RING = 32
+
+# Past this share of failed certificates one dense call replaces the
+# rescoring. At n = 501, rescoring a quarter of the sources costs about a
+# third of a dense call, and a half about 0.7, before the certificate's own
+# O(n) passes; a share of 1/2 measured no faster over whole solves.
+_RESCORE_SHARE = 0.25
+
+
+class CertifiedSteps:
+    """greedy_step for the successive steps of one backward induction.
+
+    Called with each step's continuation u, it returns greedy_step(beta,
+    stages, costmat, u, grid) bit for bit. It remembers the last _RING
+    steps: u, and per state each source's destination and recorded gap.
+    Each state's sources are certified against the remembered step whose
+    u is nearest in sup norm (see the module docstring); only the others
+    are rescored, through greedy's rows. A state goes straight to one
+    dense call when the reference cannot certify enough sources, and,
+    after a failed certificate, until a reference nearer than that one
+    turns up. dense_calls counts full greedy calls, rescored_sources the
+    sources rescored through rows.
+    """
+
+    def __init__(self, beta: float, stages: list, costmat: np.ndarray, grid: Grid):
+        n, states = grid.n, len(stages)
+        self.beta, self.stages, self.costmat, self.grid = beta, stages, costmat, grid
+        self.dense_calls = 0
+        self.rescored_sources = 0
+        self._steps = 0
+        self._u = np.empty((_RING, n))
+        self._idx = np.empty((_RING, states, n), dtype=np.intp)
+        self._gap = np.empty((_RING, states, n))
+        # Whether a remembered state has enough positive gaps to pass the share test.
+        self._usable = np.zeros((_RING, states), dtype=bool)
+        self._distance = np.empty((_RING, n))
+        self._failed_at = [np.inf] * states  # reference distance of each state's last failed certificate
+        self._max_cost = max(float(costmat.max()), -float(costmat.min()))  # max|C|, with no n x n temporary
+        self._most_rescored = int(_RESCORE_SHARE * n)
+
+    def __call__(self, u: np.ndarray):
+        slot = self._steps % _RING
+        ref, distance = self._reference(u)
+        idx, best, usable = [], [], []
+        for s, stage in enumerate(self.stages):
+            base = stage + self.beta * u
+            found = None
+            # D grows with the distance, so a state tries again only nearer than its last failure.
+            if ref is not None and self._usable[ref, s] and distance < self._failed_at[s]:
+                found = self._certified(s, base, ref)
+                self._failed_at[s] = distance if found is None else np.inf
+            # ref may be this slot: its state s is read by now; u and usable are written last.
+            if found is None:
+                i, b = greedy(base, self.costmat, self.grid, prefer_right=(s == 1), gap=self._gap[slot, s])
+                self.dense_calls += 1
+            else:
+                i, b, self._gap[slot, s] = found
+            idx.append(i)
+            best.append(b)
+            self._idx[slot, s] = i
+            usable.append(np.count_nonzero(self._gap[slot, s] > 0.0) >= u.size - self._most_rescored)
+        self._u[slot] = u
+        self._usable[slot] = usable
+        self._steps += 1
+        return idx, best
+
+    def _reference(self, u: np.ndarray):
+        """(slot, distance): the remembered u nearest u in sup norm among slots that can certify.
+
+        (None, None) if none can.
+        """
+        filled = min(self._steps, _RING)
+        usable = self._usable[:filled].any(axis=1)
+        if not usable.any():
+            return None, None
+        distance = self._distance[:filled]
+        np.subtract(self._u[:filled], u, out=distance)
+        np.abs(distance, out=distance)
+        farthest = distance.max(axis=1)
+        farthest[~usable] = np.inf
+        ref = int(farthest.argmin())
+        return ref, farthest[ref]
+
+    def _certified(self, s: int, base: np.ndarray, ref: int):
+        """(idx, best, gap) of state s, reusing slot ref's destinations; None if too many fail."""
+        ref_base = self.stages[s] + self.beta * self._u[ref]
+        dest, gap = self._idx[ref, s], self._gap[ref, s]
+        shift = base - ref_base
+        with np.errstate(over="ignore"):  # an overflow to inf makes every source fail
+            scale = 2.0 * (np.abs(base).max() + np.abs(ref_base).max() + self._max_cost)
+            slop = 6.5 * np.spacing(scale)
+        need = (shift.max() - shift[dest]) + slop
+        certified = gap > need
+        if base.size - np.count_nonzero(certified) > self._most_rescored:
+            return None
+        failed = np.flatnonzero(~certified)
+        idx = dest.copy()
+        best = base[dest] - self.costmat[np.arange(base.size), dest]
+        new_gap = gap - need
+        if failed.size:
+            rescored = np.empty(failed.size)
+            idx[failed], best[failed] = greedy(base, self.costmat, self.grid, s == 1, rescored, rows=failed)
+            new_gap[failed] = rescored
+            self.rescored_sources += failed.size
+        return idx, best, new_gap
 
 
 def expected_next(pi: float, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ function, and the majority rule. They never reuse the solvers' region
 logic or candidate sets, so agreement between an oracle and a solver is
 evidence, not tautology. Ties always break to the lowest grid index,
 which is deliberately different from the solvers' tie-breaking: tests
-compare values, not argmax identity, when ties are possible.
+compare values, not argmax identity, when ties are possible, and
+brute_force_one_step counts the points attaining its maximum.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ class OracleResult:
     argmax: float
     value: float
     evaluations: int
+    # Oracle points attaining the maximum, of which argmax is the lowest
+    # (counted by brute_force_one_step only).
+    maximizers: int | None = None
 
 
 def brute_force_one_step(objective, oracle_grid: Grid) -> OracleResult:
@@ -33,6 +37,7 @@ def brute_force_one_step(objective, oracle_grid: Grid) -> OracleResult:
         argmax=float(oracle_grid.points[idx]),
         value=float(values[idx]),
         evaluations=oracle_grid.n,
+        maximizers=int(np.count_nonzero(values == values[idx])),
     )
 
 

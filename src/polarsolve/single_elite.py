@@ -155,24 +155,22 @@ def _continuation_2(params: ModelParams, cost: CostSpec, regions: RegionPartitio
     )
 
 
-def period2_solve(params: ModelParams, cost: CostSpec, p: float, s: int) -> tuple[float, float]:
-    """Last-period optimum: stay if already winning or too far, else jump to 1/2.
+def period2_solve(params: ModelParams, cost: CostSpec, p, s: int):
+    """Last-period optimum (move, value) at a point p or an array of them.
 
-    Exact indifference at the cutoff resolves to inaction.
+    Stay if already winning or too far, else jump to 1/2. Exact
+    indifference at the cutoff resolves to inaction. Floats for one
+    point, arrays for an array; the cutoff is computed once.
     """
     regions = region_partition(params, cost)
-    H = params.H
+    points = np.asarray(p, dtype=float)
     if s == 1:
-        if p >= 0.5:
-            return p, H
-        if p <= regions.p0_star:
-            return p, 0.0
-        return 0.5, H - evaluate_cost(cost, 0.5 - p)
-    if p <= 0.5:
-        return p, H
-    if p >= regions.p1_star:
-        return p, 0.0
-    return 0.5, H - evaluate_cost(cost, p - 0.5)
+        winning, too_far, shift = points >= 0.5, points <= regions.p0_star, 0.5 - points
+    else:
+        winning, too_far, shift = points <= 0.5, points >= regions.p1_star, points - 0.5
+    move = np.where(winning | too_far, points, 0.5)
+    value = np.where(winning, params.H, np.where(too_far, 0.0, params.H - evaluate_cost(cost, shift)))
+    return like(p, move), like(p, value)
 
 
 def golden_section_min(fn, lo: float, hi: float, width: float = 1e-12) -> float:

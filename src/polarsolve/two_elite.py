@@ -28,6 +28,11 @@ mirror-closed grids, such as those of build_grid, B's tables are
 therefore A's reversed bit for bit (vB_s = vA_s[::-1], uB = uA[::-1],
 idxB_s = (n - 1) - idxA_s[::-1]), so the backward induction solves A
 alone and reads B off by reversal; check_no_deviation re-solves B.
+
+A backward step reuses a source's destination from a recent step when
+the kernel's certificate proves that it still wins strictly, with float
+rounding bounded. A strict winner is what the full maximisation returns,
+so no table moves: the certificate saves scoring, not precision.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .model import (
 )
 from .kernel import (
     CandidateEvaluation,
+    CertifiedSteps,
     best_candidate,
     cost_matrix,
     expected_next,
@@ -167,6 +173,9 @@ class MpeSolution:
     cycle_period: int | None = None
     # First step whose waiting values recur P steps later (exact cycle only).
     cycle_entered_at: int | None = None
+    # Full greedy calls, and sources rescored one by one where a certificate failed.
+    dense_calls: int = 0
+    rescored_sources: int = 0
 
     def mover_values(self, elite: str, s: int) -> np.ndarray:
         table = {("A", 0): self.vA0, ("A", 1): self.vA1, ("B", 0): self.vB0, ("B", 1): self.vB1}
@@ -206,7 +215,11 @@ def mpe_solve(
     repeats one of the last P, so the solver runs on past the repeat to the
     horizon's phase and returns its tables and residual (cycle period P).
     Exhausting the horizon with a larger residual flags the solution as
-    non-converged.
+    non-converged. The steps go through kernel.CertifiedSteps, which
+    rescores only the sources whose destination at a recent step it cannot
+    prove to still win strictly; its steps equal greedy_step's bit for
+    bit, so the tables, the residual and the cycle are those of the dense
+    recursion.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be at least 2, got {horizon}")
@@ -230,9 +243,10 @@ def mpe_solve(
     residual = math.inf
     cycle_period = cycle_entered_at = None
     seen = {}  # digest of A's waiting values -> the first step that left them
+    sweep = CertifiedSteps(beta, stage, costmat, grid)
     steps, end = 0, horizon
     while steps < end:
-        new_idx, new_v = greedy_step(beta, stage, costmat, u, grid)
+        new_idx, new_v = sweep(u)
         # A waits while B moves; B's landing from p is the mirror of A's from 1 - p.
         continuation = expected_next(pi, *new_v)
         fresh = np.zeros(grid.n)
@@ -271,6 +285,8 @@ def mpe_solve(
         converged=residual <= residual_tol,
         cycle_period=cycle_period,
         cycle_entered_at=cycle_entered_at,
+        dense_calls=sweep.dense_calls,
+        rescored_sources=sweep.rescored_sources,
     )
 
 

@@ -142,6 +142,9 @@ def test_solve_mpe_run_zero_cost(tmp_path):
     assert diagnostics["cycle_period"] == 1
     assert diagnostics["cycle_entered_at"] is None
     assert diagnostics["no_deviation_gain"] <= 1e-8
+    # every source ties at zero cost, so every step scores all moves
+    assert diagnostics["dense_calls"] == 2 * diagnostics["horizon_used"]
+    assert diagnostics["rescored_sources"] == 0
 
 
 def test_mpe_baseline_manifest_reports_two_cycle(tmp_path):
@@ -274,6 +277,34 @@ def test_oracle_check_run(tmp_path):
     report = json.loads((tmp_path / "oracle_check.json").read_text())
     assert report["passed"] is True
     assert report["checks"]["period2"]["passed"] is True
+
+
+def test_cli_oracle_check_at_zero_cost_exits_0(tmp_path):
+    # every move ties at k = 0; the oracle picks the lowest index, the closed form stays or jumps to 1/2
+    argv = ["oracle-check", "--out", str(tmp_path), "--override", "k=0", "--override", "oracle_n=401"]
+    argv += ["--override", "scan_n=21"]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "oracle_check.json").read_text())
+    assert report["checks"]["period2"] == {
+        "max_argmax_diff": 0.0,
+        "max_value_diff": 0.0,
+        "passed": True,
+        "tolerance": 1e-12,
+    }
+    diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["period2_tied_points"] == 2 * 21
+
+
+def test_oracle_check_rejects_a_move_outside_the_tied_maximizers(tmp_path, monkeypatch):
+    # at k = 0 staying at a losing point scores 0 against the maximum H
+    def stay(params, cost, p, s):
+        return p, np.zeros_like(p) + params.H
+
+    monkeypatch.setattr(runner, "period2_solve", stay)
+    config = parse_config("experiment = oracle-check\nk = 0\nscan_n = 21\noracle_n = 401\nchecks = period2\n")
+    result = run_config(config, tmp_path)
+    assert result.exit_code == 1
+    assert json.loads((tmp_path / "oracle_check.json").read_text())["checks"]["period2"]["passed"] is False
 
 
 def test_cli_roundtrip(tmp_path, capsys):

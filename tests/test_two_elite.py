@@ -152,7 +152,8 @@ def test_mpe_mirror_identities(pi):
 
 def assert_same_solution(got, want):
     for field in dataclasses.fields(MpeSolution):
-        if field.name == "horizon_used":
+        # work counts: the reference scores every move and counts nothing
+        if field.name in ("horizon_used", "dense_calls", "rescored_sources"):
             continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(a, np.ndarray):
@@ -383,3 +384,36 @@ def test_mpe_rejects_grid_that_is_not_mirror_closed():
     grid = ps.Grid(points=points, n=101, step=0.01)
     with pytest.raises(ValueError, match="mirror-closed"):
         ps.mpe_solve(PARAMS, QUAD10, grid)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=50).map(lambda m: 2 * m + 1),
+    pi=st.floats(min_value=0.05, max_value=0.95),
+    k=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=300.0)),
+    beta=st.floats(min_value=0.3, max_value=0.95),
+    H=st.floats(min_value=0.2, max_value=5.0),
+    custom=st.booleans(),
+)
+def test_certified_steps_equal_dense_reference_bit_for_bit(n, pi, k, beta, H, custom):
+    # mpe_solve reuses certified destinations; the reference scores every move of every step
+    params = ps.ModelParams(pi=pi, beta=beta, H=H)
+    if custom:
+        cost = ps.CostSpec.from_function(lambda x: k * x * x + x**4)
+    else:
+        cost = ps.CostSpec.quadratic(k)
+    grid = ps.build_grid(n)
+    got = ps.mpe_solve(params, cost, grid)
+    assert_same_solution(got, mpe_reference(params, cost, grid))
+
+
+def test_most_steps_are_certified_and_ties_are_scored_densely():
+    grid = ps.build_grid(501)
+    sol = ps.mpe_solve(PARAMS, QUAD10, grid)
+    calls = 2 * sol.horizon_used  # one greedy maximisation per state and step
+    assert sol.dense_calls < calls / 4
+    assert sol.rescored_sources < grid.n * calls / 20
+    # k = 0: every source ties, so no destination can be certified
+    sol = ps.mpe_solve(PARAMS, ps.CostSpec.quadratic(0.0), grid)
+    assert sol.dense_calls == 2 * sol.horizon_used
+    assert sol.rescored_sources == 0

@@ -37,7 +37,10 @@ def assert_matches_reference(params, cost, points):
     for s in (0, 1):
         p1 = ps.period1_solve(params, cost, points, s)
         leader = ps.stackelberg_solve(params, cost, points, s)
+        moves, values = ps.period2_solve(params, cost, points, s)
         for i, p in enumerate(points.tolist()):
+            want = reference.period2_solve(params, cost, p, s)
+            assert (bits(moves[i]), bits(values[i])) == (bits(want[0]), bits(want[1]))
             want = reference.period1_solve(params, cost, p, s)
             assert_same_candidates(p1.candidates, want.candidates, i)
             assert bits(p1.p_next[i]) == bits(want.p_next) and bits(p1.value[i]) == bits(want.value)
@@ -50,6 +53,9 @@ def assert_matches_reference(params, cost, points):
         one = ps.period1_solve(params, cost, float(points[0]), s)
         assert type(one.p_next) is float and type(one.candidates[0].objective) is float
         assert bits(one.value) == bits(p1.value[0])
+        move, value = ps.period2_solve(params, cost, float(points[0]), s)
+        assert type(move) is float and type(value) is float
+        assert (bits(move), bits(value)) == (bits(moves[0]), bits(values[0]))
 
 
 COST_K = st.one_of(

@@ -1,7 +1,8 @@
 """The two-period solvers as they were before they took arrays: one point per call.
 
-This is the scalar code of `single_elite.period1_solve` and
-`two_elite.stackelberg_solve`, with the helpers it called; only the
+This is the scalar code of `single_elite.period2_solve`,
+`single_elite.period1_solve` and `two_elite.stackelberg_solve`, with the
+helpers they called; only the
 docstrings and the model types in the signatures are left out. The tests that
 compare the array solvers with it check that they return the same
 candidates, objectives, choices, values and phi, bit for bit.
@@ -72,6 +73,22 @@ def interior_minimizer_C(params, cost, p: float) -> float:
     regions = region_partition(params, cost)
     hi = min(regions.p1_star, 1.0)
     return _interior_minimizer(cost, p, params.beta * (1.0 - params.pi), 0.5, hi)
+
+
+def period2_solve(params, cost, p: float, s: int) -> tuple[float, float]:
+    regions = region_partition(params, cost)
+    H = params.H
+    if s == 1:
+        if p >= 0.5:
+            return p, H
+        if p <= regions.p0_star:
+            return p, 0.0
+        return 0.5, H - evaluate_cost(cost, 0.5 - p)
+    if p <= 0.5:
+        return p, H
+    if p >= regions.p1_star:
+        return p, 0.0
+    return 0.5, H - evaluate_cost(cost, p - 0.5)
 
 
 def period1_solve(params, cost, p: float, s: int) -> Period1Solution:
