@@ -21,9 +21,9 @@ from .model import CostSpec, ModelParams, evaluate_cost, implemented_policy, sta
 
 @dataclass(frozen=True)
 class OracleResult:
-    argmax: float
-    value: float
-    evaluations: int
+    # Floats for one starting point, arrays over them for an array.
+    argmax: float | np.ndarray
+    value: float | np.ndarray
     # Oracle points attaining the maximum, of which argmax is the lowest
     # (counted by brute_force_one_step only).
     maximizers: int | None = None
@@ -36,7 +36,6 @@ def brute_force_one_step(objective, oracle_grid: Grid) -> OracleResult:
     return OracleResult(
         argmax=float(oracle_grid.points[idx]),
         value=float(values[idx]),
-        evaluations=oracle_grid.n,
         maximizers=int(np.count_nonzero(values == values[idx])),
     )
 
@@ -48,25 +47,24 @@ class TwoPeriodTables:
     grid: Grid
     best0: np.ndarray  # value of the period-2 problem per landing point, s2 = 0
     best1: np.ndarray  # same for s2 = 1
-    evaluations: int
 
 
-# Bytes of one block of move costs. The response tables score the period-1
-# positions p1 a block at a time, so they hold a few such blocks, never an
-# n x n array.
+# Bytes of one block of move costs. The response tables and the two-period
+# brute forces score their sources a block at a time, so they hold a few
+# such blocks, never a sources x n array.
 _BLOCK_BYTES = 1 << 19
 
 
-def _cost_blocks(cost: CostSpec, pts: np.ndarray):
-    """Yield (block, costs), costs[j, i] = c(pts[i] - p1) for the j-th p1 in pts[block].
+def _cost_blocks(cost: CostSpec, pts: np.ndarray, sources: np.ndarray):
+    """Yield (block, costs), costs[j, i] = c(pts[i] - x) for the j-th source x in sources[block].
 
-    A row holds every period-2 move out of one p1, so its max and first
-    argmax do not depend on how the p1 are blocked.
+    A row holds every move out of one source, so its max and first argmax
+    do not depend on how the sources are blocked.
     """
     rows = max(1, _BLOCK_BYTES // (8 * pts.size))
-    for start in range(0, pts.size, rows):
+    for start in range(0, sources.size, rows):
         block = slice(start, start + rows)
-        yield block, evaluate_cost(cost, pts[None, :] - pts[block, None])
+        yield block, evaluate_cost(cost, pts[None, :] - sources[block, None])
 
 
 def period2_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid) -> TwoPeriodTables:
@@ -77,26 +75,45 @@ def period2_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Gr
     pts = oracle_grid.points
     stages = [stage_payoff(s2, pts, params.H) for s2 in (0, 1)]
     best = [np.empty(oracle_grid.n), np.empty(oracle_grid.n)]
-    for block, costs in _cost_blocks(cost, pts):
+    for block, costs in _cost_blocks(cost, pts, pts):
         for s2 in (0, 1):
             best[s2][block] = (stages[s2] - costs).max(axis=1)
-    return TwoPeriodTables(
-        grid=oracle_grid,
-        best0=best[0],
-        best1=best[1],
-        evaluations=2 * oracle_grid.n * oracle_grid.n,
-    )
+    return TwoPeriodTables(grid=oracle_grid, best0=best[0], best1=best[1])
+
+
+def _two_period_scan(
+    params: ModelParams, cost: CostSpec, p0, s1: int, oracle_grid: Grid, continuation: np.ndarray
+) -> OracleResult:
+    """Maximize R(s1, p1) - c(p1 - p0) + beta * continuation[p1] over the oracle points p1, per p0.
+
+    p0 is one starting point or an array of them; the lowest-index argmax
+    and the max come back in its shape.
+    """
+    pts = oracle_grid.points
+    starts = np.asarray(p0, dtype=float)
+    sources = starts.ravel()
+    stage = stage_payoff(s1, pts, params.H)
+    later = params.beta * continuation
+    idx = np.empty(sources.size, dtype=np.intp)
+    value = np.empty(sources.size)
+    for block, costs in _cost_blocks(cost, pts, sources):
+        values = stage - costs + later  # this order fixes the bits oracle-check reports
+        idx[block] = values.argmax(axis=1)
+        value[block] = values.max(axis=1)
+    if starts.ndim == 0:
+        return OracleResult(argmax=float(pts[idx[0]]), value=float(value[0]))
+    return OracleResult(argmax=pts[idx].reshape(starts.shape), value=value.reshape(starts.shape))
 
 
 def brute_force_two_period_single(
     params: ModelParams,
     cost: CostSpec,
-    p0: float,
+    p0,
     s1: int,
     oracle_grid: Grid,
     tables: TwoPeriodTables | None = None,
 ) -> OracleResult:
-    """Exhaustive two-period solve for the single elite.
+    """Exhaustive two-period solve for the single elite, from one p0 or an array of them.
 
     Every period-1 landing point on the oracle grid is scored as stage
     payoff minus cost plus discounted expectation of the (brute-forced)
@@ -104,19 +121,8 @@ def brute_force_two_period_single(
     """
     if tables is None or tables.grid is not oracle_grid:
         tables = period2_response_tables(params, cost, oracle_grid)
-    pts = oracle_grid.points
     continuation = params.pi * tables.best1 + (1.0 - params.pi) * tables.best0
-    values = (
-        stage_payoff(s1, pts, params.H)
-        - evaluate_cost(cost, pts - p0)
-        + params.beta * continuation
-    )
-    idx = int(np.argmax(values))
-    return OracleResult(
-        argmax=float(pts[idx]),
-        value=float(values[idx]),
-        evaluations=oracle_grid.n + tables.evaluations,
-    )
+    return _two_period_scan(params, cost, p0, s1, oracle_grid, continuation)
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,6 @@ class RivalResponseTables:
 
     grid: Grid
     leader_continuation: np.ndarray  # E_{s2}[leader stage payoff] per landing p1
-    evaluations: int
 
 
 def rival_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid) -> RivalResponseTables:
@@ -139,7 +144,7 @@ def rival_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid
     pts = oracle_grid.points
     follower_stage = [params.H * (implemented_policy(pts, 1 - s2) == 1 - s2) for s2 in (0, 1)]
     reply_idx = [np.empty(oracle_grid.n, dtype=np.intp), np.empty(oracle_grid.n, dtype=np.intp)]
-    for block, costs in _cost_blocks(cost, pts):
+    for block, costs in _cost_blocks(cost, pts, pts):
         for s2 in (0, 1):
             reply_idx[s2][block] = (follower_stage[s2] - costs).argmax(axis=1)
     expected = np.zeros(oracle_grid.n)
@@ -149,33 +154,18 @@ def rival_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid
         leader_payoff = params.H * (implemented_policy(landed, pref) == s2)
         prob = params.pi if s2 == 1 else 1.0 - params.pi
         expected = expected + prob * leader_payoff
-    return RivalResponseTables(
-        grid=oracle_grid,
-        leader_continuation=expected,
-        evaluations=2 * oracle_grid.n * oracle_grid.n,
-    )
+    return RivalResponseTables(grid=oracle_grid, leader_continuation=expected)
 
 
 def brute_force_stackelberg(
     params: ModelParams,
     cost: CostSpec,
-    p0: float,
+    p0,
     s1: int,
     oracle_grid: Grid,
     tables: RivalResponseTables | None = None,
 ) -> OracleResult:
-    """Exhaustive two-period leader problem against the brute-forced follower."""
+    """Exhaustive two-period leader problem against the brute-forced follower, from one p0 or an array."""
     if tables is None or tables.grid is not oracle_grid:
         tables = rival_response_tables(params, cost, oracle_grid)
-    pts = oracle_grid.points
-    values = (
-        stage_payoff(s1, pts, params.H)
-        - evaluate_cost(cost, pts - p0)
-        + params.beta * tables.leader_continuation
-    )
-    idx = int(np.argmax(values))
-    return OracleResult(
-        argmax=float(pts[idx]),
-        value=float(values[idx]),
-        evaluations=oracle_grid.n + tables.evaluations,
-    )
+    return _two_period_scan(params, cost, p0, s1, oracle_grid, tables.leader_continuation)

@@ -195,8 +195,6 @@ def _interior_minimizer(cost, p, weight, lo, hi) -> np.ndarray:
     # Minimize c(q - p) + weight * c(q - 1/2) over [lo, hi] at every point p;
     # both interior regions anchor their second term at 1/2. Strictly convex in q.
     p = np.asarray(p, dtype=float)
-    if hi <= lo:
-        return np.full(p.shape, lo)
     if cost.kind == QUADRATIC:
         q = (p + 0.5 * weight) / (1.0 + weight)
         return np.minimum(np.maximum(q, lo), hi)
@@ -333,7 +331,7 @@ def solve_infinite(
         v = new
         if residual == 0.0 or iterations == max_iter:
             break
-        settled = settled or residual <= _FEW_ULPS * np.spacing(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
+        settled = settled or residual <= _FEW_ULPS * math.ulp(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
         if not settled:
             evaluation_sweeps += _evaluate(params, stages, cost, grid, idx, v)
     if residual != 0.0:

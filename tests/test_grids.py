@@ -22,6 +22,8 @@ def test_build_grid_rejects_bad_sizes():
     for bad in (2, 4, 1000, 1, 0, -3):
         with pytest.raises(ValueError):
             build_grid(bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        build_grid(3.5)
 
 
 @pytest.mark.parametrize("n", [3, 5, 101, 501, 1001])

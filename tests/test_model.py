@@ -65,6 +65,17 @@ def test_custom_cost_validation():
         CostSpec.quadratic(-1.0)
 
 
+def test_cost_spec_rejects_bad_tables_and_kinds():
+    table = np.linspace(0.0, 1.0, 2001) ** 2
+    table[7] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        CostSpec.custom(table)
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        CostSpec(kind="cubic")
+    with pytest.raises(ValueError, match="custom cost requires a table"):
+        CostSpec(kind="custom")
+
+
 def test_delta_threshold_quadratic():
     assert delta_threshold(QUAD10, 1.0) == pytest.approx(math.sqrt(0.1), abs=1e-15)
     assert delta_threshold(CostSpec.quadratic(4.0), 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -111,6 +122,9 @@ def test_cost_dominates():
         cost_dominates(QUAD10, QUAD10, [0.5, 0.2, 0.8])
     with pytest.raises(ValueError):
         cost_dominates(QUAD10, QUAD10, [0.5])
+    for outside in ([-0.1, 0.5], [0.5, 1.1]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            cost_dominates(QUAD10, QUAD10, outside)
 
 
 def test_cost_dominates_custom_kind():

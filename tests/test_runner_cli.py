@@ -5,6 +5,7 @@ import math
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import polarsolve as ps
 from polarsolve import runner
 from polarsolve.cli import main
-from polarsolve.config import parse_config
+from polarsolve.config import ConfigError, ExperimentConfig, parse_config
 from polarsolve.runner import (
     emit_policy_csv,
     emit_value_csv,
@@ -55,6 +56,13 @@ def test_emit_small_table(tmp_path):
     lines = (tmp_path / "policy.csv").read_text().splitlines()
     assert lines[0] == "p,sigma_s0,sigma_s1"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("emit", [emit_policy_csv, emit_value_csv])
+def test_emitters_reject_other_types(tmp_path, emit):
+    with pytest.raises(TypeError, match="cannot emit"):
+        emit(ps.build_grid(3), tmp_path / "table.csv")
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -307,6 +315,23 @@ def test_oracle_check_rejects_a_move_outside_the_tied_maximizers(tmp_path, monke
     assert json.loads((tmp_path / "oracle_check.json").read_text())["checks"]["period2"]["passed"] is False
 
 
+@pytest.mark.parametrize("check, solver", [("period1", "period1_solve"), ("stackelberg", "stackelberg_solve")])
+def test_oracle_check_fails_on_a_nan_value(tmp_path, monkeypatch, check, solver):
+    solve = getattr(runner, solver)
+
+    def nan_at_the_last_point(params, cost, p, s):
+        sol = solve(params, cost, p, s)
+        value = sol.value.copy()
+        value[-1] = math.nan
+        return dataclasses.replace(sol, value=value)
+
+    monkeypatch.setattr(runner, solver, nan_at_the_last_point)
+    config = parse_config(f"experiment = oracle-check\nscan_n = 21\noracle_n = 401\nchecks = {check}\n")
+    assert run_config(config, tmp_path).exit_code == 1
+    report = json.loads((tmp_path / "oracle_check.json").read_text())["checks"][check]
+    assert math.isnan(report["max_value_diff"]) and report["passed"] is False
+
+
 def test_cli_roundtrip(tmp_path, capsys):
     preset = Path(__file__).resolve().parent.parent / "presets" / "single_elite_baseline.cfg"
     code = main(
@@ -414,6 +439,57 @@ def test_cli_largest_finite_value_bound_solves(tmp_path):
     # H / (1 - beta) = 1.79e308, just inside the float range
     argv = ["solve-mpe", "--out", str(tmp_path), "--override", "H=1.79e307", "--override", "grid_n=11"]
     assert main(argv) == 0
+    for column in read_table_csv(tmp_path / "value.csv").values():
+        assert np.isfinite(column).all()
+
+
+# Each case's last override is the one a config check rejects.
+CONFIG_ERRORS = [
+    (["solve-single", "--override", "grid_n=abc"], "field 'grid_n': expected an integer"),
+    (["sweep", "--override", "solver=solve-single", "--override", "sweep.k="],
+     "field 'sweep.k': expected a non-empty comma-separated list"),
+    (["solve-single", "--override", "experiment=nope"], "field 'experiment': must be one of"),
+    (["sweep", "--override", "sweep.k=1, 2", "--override", "solver=nope"], "field 'solver': must be one of"),
+    (["oracle-check", "--override", "checks=period3"], "field 'checks': checks must be among"),
+    (["solve-single", "--override", "output_dir="], "field 'output_dir': must be a non-empty path"),
+    (["solve-single", "--override", "pi=1"], "field 'pi': must lie in (0, 1)"),
+    (["solve-single", "--override", "H=0"], "field 'H': must be positive"),
+    (["solve-mpe", "--override", "horizon=1"], "field 'horizon': must be at least 2"),
+    (["solve-mpe", "--override", "tol=0"], "field 'tol': must be positive"),
+    (["solve-single", "--override", "max_iter=0"], "field 'max_iter': must be at least 1"),
+    (["sweep", "--override", "solver=solve-single", "--override", "sweep.k=1", "--override", "sweep_cap=0"],
+     "field 'sweep_cap': must be at least 1"),
+    (["oracle-check", "--override", "scan_n=1"], "field 'scan_n': must be at least 2"),
+    (["oracle-check", "--override", "oracle_n=4"], "field 'oracle_n': must be odd and at least 3"),
+    (["oracle-check", "--override", "checks="], "field 'checks': must list at least one check"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CONFIG_ERRORS, ids=[argv[-1] for argv, _ in CONFIG_ERRORS])
+def test_cli_config_check_exits_2_naming_the_field(tmp_path, capsys, argv, expected):
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert expected in err[0]
+    assert not out.exists()
+
+
+def test_run_config_rejects_an_unknown_experiment(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        run_config(ExperimentConfig(experiment="nope"), tmp_path / "out")
+    assert err.value.field == "experiment"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("beta, grid_n", [("1e-20", "51"), ("5e-324", "3")])
+def test_cli_solve_single_at_the_float_maximum_warns_nothing(tmp_path, beta, grid_n):
+    # H / (1 - beta) rounds to H, the largest float, so validation accepts the config
+    argv = ["solve-single", "--out", str(tmp_path), "--override", "H=1.7976931348623157e308"]
+    argv += ["--override", f"beta={beta}", "--override", f"grid_n={grid_n}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
     for column in read_table_csv(tmp_path / "value.csv").values():
         assert np.isfinite(column).all()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
-from polarsolve import kernel
+from polarsolve import kernel, single_elite
 from polarsolve.model import evaluate_cost, stage_payoff
 from polarsolve.kernel import cost_matrix, greedy, move_cost, stage_payoffs
 from polarsolve.single_elite import ValueTable, _policy, bellman_apply
@@ -344,6 +345,52 @@ def test_verify_polarization_pull_clean_and_dirty():
     dirty_v = ValueTable(grid=grid, v0=sol.value.v0, v1=vbad)
     violations = ps.verify_polarization_pull(dirty_v, sol.policy)
     assert any(v.check == "value_peak" for v in violations)
+
+
+def test_verify_polarization_pull_flags_violations_right_of_one_half():
+    grid = ps.build_grid(501)
+    sol = ps.solve_infinite(PARAMS, QUAD10, grid)
+    i = int(np.argmin(np.abs(grid.points - 0.7)))
+    # a value rise right of 1/2
+    vbad = sol.value.v0.copy()
+    vbad[i] += 0.5
+    violations = ps.verify_polarization_pull(ValueTable(grid=grid, v0=vbad, v1=sol.value.v1), sol.policy)
+    assert [(v.check, v.s) for v in violations] == [("value_peak", 0)]
+    assert violations[0].p > 0.5 and "rise" in violations[0].detail
+    # a policy drop right of 1/2 that stays inside [1/2, p]
+    bad = sol.policy.sigma1.copy()
+    bad[i] = bad[i - 1] - 10 * grid.step
+    dirty = ps.PolicyTable(grid=grid, sigma0=sol.policy.sigma0, sigma1=bad)
+    violations = ps.verify_polarization_pull(sol.value, dirty)
+    assert [(v.check, v.s) for v in violations] == [("policy_monotone", 1)]
+    assert violations[0].p > 0.5 and "drop" in violations[0].detail
+
+
+def test_compare_cost_technologies_flags_a_costlier_move_further_on_both_sides(monkeypatch):
+    grid = ps.build_grid(101)
+    costlier = ps.CostSpec.quadratic(20.0)
+    solve = single_elite.solve_infinite
+
+    def further(params, cost, grid, max_iter):
+        # the costlier technology jumps to 1/2 from everywhere
+        sol = solve(params, cost, grid, max_iter=max_iter)
+        if cost != costlier:
+            return sol
+        half = np.full(grid.n, 0.5)
+        return dataclasses.replace(sol, policy=ps.PolicyTable(grid=grid, sigma0=half, sigma1=half))
+
+    monkeypatch.setattr(single_elite, "solve_infinite", further)
+    report = ps.compare_cost_technologies(PARAMS, QUAD10, costlier, grid, mode="resolved")
+    assert {v.check for v in report.violations} == {"shrink"}
+    for s in (0, 1):
+        sides = {(v.p > 0.5, ">" in v.detail) for v in report.violations if v.s == s}
+        assert sides == {(False, True), (True, False)}
+
+
+def test_compare_cost_technologies_rejects_an_unknown_mode():
+    costlier = ps.CostSpec.quadratic(20.0)
+    with pytest.raises(ValueError, match="unknown comparison mode"):
+        ps.compare_cost_technologies(PARAMS, QUAD10, costlier, ps.build_grid(11), mode="both")
 
 
 def test_compare_cost_technologies_fixed_mode():

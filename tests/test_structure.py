@@ -72,3 +72,10 @@ def test_no_private_names_from_sibling_modules(path):
 def test_two_elite_does_not_import_single_elite():
     tree = ast.parse((PACKAGE / "two_elite.py").read_text(encoding="utf-8"))
     assert "single_elite" not in {target for target, _, _ in _imports(tree)}
+
+
+def test_oracle_does_not_import_the_solvers():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    imported = {target for target, _, _ in _imports(tree)}
+    assert "model" in imported
+    assert imported.isdisjoint({"kernel", "single_elite", "two_elite"})

@@ -417,3 +417,12 @@ def test_most_steps_are_certified_and_ties_are_scored_densely():
     sol = ps.mpe_solve(PARAMS, ps.CostSpec.quadratic(0.0), grid)
     assert sol.dense_calls == 2 * sol.horizon_used
     assert sol.rescored_sources == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"horizon": 1}, "horizon must be at least 2"), ({"residual_tol": 0.0}, "residual_tol must be positive")],
+)
+def test_mpe_solve_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ps.mpe_solve(PARAMS, QUAD10, ps.build_grid(11), **kwargs)

@@ -77,6 +77,8 @@ COST_K = st.one_of(
 @example(pi=0.5, beta=0.9, H=1.0, k=0.0, n=101, extra=[])
 @example(pi=0.5, beta=0.9, H=1.0, k=4.0, n=101, extra=[0.25])  # delta = 1/2: the cutoffs are 0 and 1
 @example(pi=0.7, beta=0.9, H=3.0, k=1e4, n=1001, extra=[0.3])
+# H / k underflows: delta = 0, so both interior regions are the single point 1/2
+@example(pi=0.7, beta=0.9, H=1e-300, k=1e300, n=101, extra=[0.2, 0.3, 0.7])
 def test_array_solvers_equal_scalar_reference_bit_for_bit(pi, beta, H, k, n, extra):
     params = ps.ModelParams(pi=pi, beta=beta, H=H)
     cost = ps.CostSpec.quadratic(k)
@@ -129,4 +131,4 @@ def test_records_writer_spells_values_as_json_does():
         }
         for i in range(2)
     ]
-    assert _records_json(columns) == json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert _records_json([columns]) == json.dumps(records, indent=2, sort_keys=True) + "\n"
