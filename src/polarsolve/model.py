@@ -20,6 +20,8 @@ CUSTOM = "custom"
 # displacements over [0, 1]. Piecewise-linear interpolation in |x| keeps
 # the tabulated function convex and symmetric.
 CUSTOM_TABLE_SIZE = 2001
+_CUSTOM_XS = np.linspace(0.0, 1.0, CUSTOM_TABLE_SIZE)
+_CUSTOM_XS.setflags(write=False)
 
 INF_DELTA = math.inf
 
@@ -86,8 +88,7 @@ class CostSpec:
     @staticmethod
     def from_function(fn) -> "CostSpec":
         """Tabulate a callable c(|x|) on the custom displacement grid."""
-        xs = np.linspace(0.0, 1.0, CUSTOM_TABLE_SIZE)
-        return CostSpec.custom(np.asarray([fn(x) for x in xs], dtype=float))
+        return CostSpec.custom(np.asarray([fn(x) for x in _CUSTOM_XS], dtype=float))
 
     def __post_init__(self) -> None:
         if self.kind not in (QUADRATIC, CUSTOM):
@@ -103,9 +104,7 @@ def evaluate_cost(cost: CostSpec, x):
     """
     if cost.kind == QUADRATIC:
         return cost.k * x * x
-    ax = np.abs(x)
-    xs = np.linspace(0.0, 1.0, CUSTOM_TABLE_SIZE)
-    out = np.interp(ax, xs, cost.table)
+    out = np.interp(np.abs(x), _CUSTOM_XS, cost.table)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

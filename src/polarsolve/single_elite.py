@@ -47,6 +47,9 @@ INTERIOR_C = "interior_c"
 MEDIAN = "median"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_WIDTH = 1e-12
+# verify_polarization_pull forgives value steps against the peak up to this size.
+_VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,6 @@ class Violation:
 
 def region_partition(params: ModelParams, cost: CostSpec) -> RegionPartition:
     delta = delta_threshold(cost, params.H)
-    if math.isinf(delta):
-        return RegionPartition(p0_star=-math.inf, p1_star=math.inf, delta=delta)
     return RegionPartition(p0_star=0.5 - delta, p1_star=0.5 + delta, delta=delta)
 
 
@@ -136,15 +137,12 @@ def expected_continuation_2(params: ModelParams, cost: CostSpec, p_next):
     and bent by the anticipated flip cost on the inner bands. Boundaries
     belong to the inner branches; the formulas agree there.
     """
-    return like(p_next, _continuation_2(params, cost, region_partition(params, cost), p_next))
-
-
-def _continuation_2(params: ModelParams, cost: CostSpec, regions: RegionPartition, p_next) -> np.ndarray:
+    regions = region_partition(params, cost)
     H, pi = params.H, params.pi
     p = np.asarray(p_next, dtype=float)
     inner_left = H - pi * evaluate_cost(cost, 0.5 - p)
     inner_right = H - (1.0 - pi) * evaluate_cost(cost, p - 0.5)
-    return np.where(
+    continuation = np.where(
         p < regions.p0_star,
         H * (1.0 - pi),
         np.where(
@@ -153,6 +151,7 @@ def _continuation_2(params: ModelParams, cost: CostSpec, regions: RegionPartitio
             np.where(p <= regions.p1_star, inner_right, H * pi),
         ),
     )
+    return like(p_next, continuation)
 
 
 def period2_solve(params: ModelParams, cost: CostSpec, p, s: int):
@@ -173,13 +172,13 @@ def period2_solve(params: ModelParams, cost: CostSpec, p, s: int):
     return like(p, move), like(p, value)
 
 
-def golden_section_min(fn, lo: float, hi: float, width: float = 1e-12) -> float:
-    """Minimize a unimodal function on [lo, hi] to the given interval width."""
+def golden_section_min(fn, lo: float, hi: float) -> float:
+    """Minimize a unimodal function on [lo, hi] to a bracket _GOLDEN_WIDTH wide."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > width:
+    while b - a > _GOLDEN_WIDTH:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -207,22 +206,17 @@ def _interior_minimizer(cost, p, weight, lo, hi) -> np.ndarray:
     return np.reshape(out, p.shape)
 
 
-def _interior_B(params: ModelParams, cost: CostSpec, regions: RegionPartition, p) -> np.ndarray:
-    return _interior_minimizer(cost, p, params.beta * params.pi, max(regions.p0_star, 0.0), 0.5)
-
-
-def _interior_C(params: ModelParams, cost: CostSpec, regions: RegionPartition, p) -> np.ndarray:
-    return _interior_minimizer(cost, p, params.beta * (1.0 - params.pi), 0.5, min(regions.p1_star, 1.0))
-
-
 def interior_minimizer_B(params: ModelParams, cost: CostSpec, p):
     """Cheapest compromise point in [p0*, 1/2]: today's move vs tomorrow's flip."""
-    return like(p, _interior_B(params, cost, region_partition(params, cost), p))
+    regions = region_partition(params, cost)
+    return like(p, _interior_minimizer(cost, p, params.beta * params.pi, max(regions.p0_star, 0.0), 0.5))
 
 
 def interior_minimizer_C(params: ModelParams, cost: CostSpec, p):
     """Mirror of interior_minimizer_B on [1/2, p1*] with weight beta*(1-pi)."""
-    return like(p, _interior_C(params, cost, region_partition(params, cost), p))
+    regions = region_partition(params, cost)
+    weight = params.beta * (1.0 - params.pi)
+    return like(p, _interior_minimizer(cost, p, weight, 0.5, min(regions.p1_star, 1.0)))
 
 
 def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solution:
@@ -230,15 +224,14 @@ def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solu
 
     Candidates: stay put, the two interior compromise points, and the
     jump to 1/2, compared by kernel.best_candidate. The chosen move
-    never increases the distance to 1/2. Everything
-    is elementwise over the points; the region cutoffs are computed once.
+    never increases the distance to 1/2. Everything is elementwise over
+    the points.
     """
-    regions = region_partition(params, cost)
     points = np.asarray(p, dtype=float)
     candidates = [
         (points, INACTION),
-        (_interior_B(params, cost, regions, points), INTERIOR_B),
-        (_interior_C(params, cost, regions, points), INTERIOR_C),
+        (interior_minimizer_B(params, cost, points), INTERIOR_B),
+        (interior_minimizer_C(params, cost, points), INTERIOR_C),
         (np.full(points.shape, 0.5), MEDIAN),
     ]
     evaluations = []
@@ -246,7 +239,7 @@ def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solu
         objective = (
             stage_payoff(s, candidate, params.H)
             - evaluate_cost(cost, candidate - points)
-            + params.beta * _continuation_2(params, cost, regions, candidate)
+            + params.beta * expected_continuation_2(params, cost, candidate)
         )
         evaluations.append(CandidateEvaluation(candidate, objective, provenance))
     return Period1Solution(*best_candidate(evaluations, points))
@@ -349,17 +342,23 @@ def solve_infinite(
     )
 
 
-def verify_polarization_pull(
-    value: ValueTable,
-    policy: PolicyTable,
-    value_tol: float = 1e-9,
-) -> list[Violation]:
+def _flag(check: str, s: int, pts: np.ndarray, holds: np.ndarray, detail) -> list[Violation]:
+    """A violation of check at each pts[i] where holds[i] is not True, described by detail(i).
+
+    holds is the property that must hold, so a NaN, which satisfies no
+    comparison, is flagged.
+    """
+    return [Violation(check, s, float(pts[i]), detail(i)) for i in np.flatnonzero(~holds)]
+
+
+def verify_polarization_pull(value: ValueTable, policy: PolicyTable) -> list[Violation]:
     """Check the converged tables for the pull/peak/monotonicity properties.
 
     Returns the violations found (expected empty for converged solves):
     the policy must never move past 1/2 nor away from it, the value must
-    peak at 1/2 (monotone up then down, within value_tol), and the policy
+    peak at 1/2 (monotone up then down, within _VALUE_TOL), and the policy
     must be monotone on each side of 1/2 up to one grid step of slack.
+    A NaN entry fails every property it enters.
     """
     grid = value.grid
     pts = grid.points
@@ -371,24 +370,20 @@ def verify_polarization_pull(
         vs = value.values(s)
         lower = np.minimum(pts, 0.5)
         upper = np.maximum(pts, 0.5)
-        for i in np.flatnonzero((sigma < lower) | (sigma > upper)):
-            violations.append(
-                Violation("pull", s, float(pts[i]), f"sigma={sigma[i]!r} outside [{lower[i]}, {upper[i]}]")
-            )
+        inside = (sigma >= lower) & (sigma <= upper)
+        violations += _flag(
+            "pull", s, pts, inside, lambda i: f"sigma={sigma[i]!r} outside [{lower[i]}, {upper[i]}]"
+        )
         up = np.diff(vs[: mid + 1])
-        for i in np.flatnonzero(up < -value_tol):
-            violations.append(Violation("value_peak", s, float(pts[i]), f"drop {up[i]:.3e} left of 1/2"))
+        violations += _flag("value_peak", s, pts, up >= -_VALUE_TOL, lambda i: f"drop {up[i]:.3e} left of 1/2")
         down = np.diff(vs[mid:])
-        for i in np.flatnonzero(down > value_tol):
-            violations.append(
-                Violation("value_peak", s, float(pts[mid + i]), f"rise {down[i]:.3e} right of 1/2")
-            )
-        dsig = np.diff(sigma[: mid + 1])
-        for i in np.flatnonzero(dsig < -slack):
-            violations.append(Violation("policy_monotone", s, float(pts[i]), f"drop {dsig[i]:.3e}"))
-        dsig = np.diff(sigma[mid:])
-        for i in np.flatnonzero(dsig < -slack):
-            violations.append(Violation("policy_monotone", s, float(pts[mid + i]), f"drop {dsig[i]:.3e}"))
+        violations += _flag(
+            "value_peak", s, pts[mid:], down <= _VALUE_TOL, lambda i: f"rise {down[i]:.3e} right of 1/2"
+        )
+        left = np.diff(sigma[: mid + 1])
+        violations += _flag("policy_monotone", s, pts, left >= -slack, lambda i: f"drop {left[i]:.3e}")
+        right = np.diff(sigma[mid:])
+        violations += _flag("policy_monotone", s, pts[mid:], right >= -slack, lambda i: f"drop {right[i]:.3e}")
     return violations
 
 
@@ -406,13 +401,13 @@ def compare_cost_technologies(
     cost_costlier: CostSpec,
     grid: Grid,
     mode: str = "resolved",
-    max_iter: int = 10000,
 ) -> CostComparisonReport:
     """Compare one-step moves under a cost technology and a costlier one.
 
     The costlier technology must cost-dominate the base (checked; raises
     otherwise). Moves under the costlier technology should be weakly
     smaller toward 1/2 at every grid point, up to one grid step of slack.
+    A NaN move fails the comparison, at 1/2 itself on both sides.
 
     mode="fixed" holds the continuation fixed at the base technology's
     converged value function for both maximizations (the one-step reading
@@ -424,7 +419,7 @@ def compare_cost_technologies(
     samples = np.linspace(0.0, 1.0, 201)
     if not cost_dominates(cost_costlier, cost_base, samples):
         raise ValueError("costlier technology does not cost-dominate the base")
-    sol_base = solve_infinite(params, cost_base, grid, max_iter=max_iter)
+    sol_base = solve_infinite(params, cost_base, grid)
     if mode == "fixed":
         continuation = expected_next(params.pi, sol_base.value.v0, sol_base.value.v1)
         stages = stage_payoffs(params, grid)
@@ -432,7 +427,7 @@ def compare_cost_technologies(
         policy_costlier = _policy(params.beta, stages, cost_matrix(cost_costlier, grid), continuation, grid)
     else:
         policy_base = sol_base.policy
-        policy_costlier = solve_infinite(params, cost_costlier, grid, max_iter=max_iter).policy
+        policy_costlier = solve_infinite(params, cost_costlier, grid).policy
     pts = grid.points
     mid = grid.mid
     slack = grid.step + 1e-12
@@ -440,15 +435,15 @@ def compare_cost_technologies(
     for s in (0, 1):
         sb = policy_base.moves(s)
         sc = policy_costlier.moves(s)
-        for i in range(grid.n):
-            if i <= mid and sc[i] > sb[i] + slack:
-                violations.append(
-                    Violation("shrink", s, float(pts[i]), f"costlier move {sc[i]!r} > base {sb[i]!r}")
-                )
-            elif i >= mid and sc[i] < sb[i] - slack:
-                violations.append(
-                    Violation("shrink", s, float(pts[i]), f"costlier move {sc[i]!r} < base {sb[i]!r}")
-                )
+        # Left of 1/2, then right: at 1/2 itself a finite move fails at most one side.
+        no_further = sc[: mid + 1] <= sb[: mid + 1] + slack
+        violations += _flag(
+            "shrink", s, pts, no_further, lambda i: f"costlier move {sc[i]!r} > base {sb[i]!r}"
+        )
+        no_further = sc[mid:] >= sb[mid:] - slack
+        violations += _flag(
+            "shrink", s, pts[mid:], no_further, lambda i: f"costlier move {sc[mid + i]!r} < base {sb[mid + i]!r}"
+        )
     return CostComparisonReport(
         mode=mode,
         policy_base=policy_base,

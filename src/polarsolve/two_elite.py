@@ -101,16 +101,14 @@ def phi_continuation(params: ModelParams, cost: CostSpec, p0):
     side: the follower will not pay to overturn them. Anything closer is
     flipped whenever the follower wants to, leaving the leader nothing.
     """
-    return like(p0, _phi(params, delta_threshold(cost, params.H), p0))
-
-
-def _phi(params: ModelParams, delta: float, p0) -> np.ndarray:
-    p0 = np.asarray(p0, dtype=float)
-    return np.where(
-        p0 <= 0.5 - delta,
+    delta = delta_threshold(cost, params.H)
+    p = np.asarray(p0, dtype=float)
+    phi = np.where(
+        p <= 0.5 - delta,
         (1.0 - params.pi) * params.H,
-        np.where(p0 >= 0.5 + delta, params.pi * params.H, 0.0),
+        np.where(p >= 0.5 + delta, params.pi * params.H, 0.0),
     )
+    return like(p0, phi)
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def stackelberg_solve(params: ModelParams, cost: CostSpec, p0, s1: int) -> Stack
     H, beta, pi = params.H, params.beta, params.pi
     points = np.asarray(p0, dtype=float)
     delta = delta_threshold(cost, params.H)
-    phi = _phi(params, delta, points)
+    phi = phi_continuation(params, cost, points)
     candidates = [
         CandidateEvaluation(points, stage_payoff(s1, points, H) + beta * phi, INACTION),
         CandidateEvaluation(np.full(points.shape, 0.5), H - evaluate_cost(cost, points - 0.5), MEDIAN),
@@ -150,7 +148,7 @@ def stackelberg_solve(params: ModelParams, cost: CostSpec, p0, s1: int) -> Stack
         if left >= 0.0:
             value = H * (s1 == 0) - evaluate_cost(cost, points - left) + beta * (1.0 - pi) * H
             candidates.append(CandidateEvaluation(np.full(points.shape, left), value, SEMI_LOCK_LEFT))
-    return StackelbergSolution(*best_candidate(candidates, points), phi_at_p0=like(p0, phi))
+    return StackelbergSolution(*best_candidate(candidates, points), phi_at_p0=phi)
 
 
 @dataclass(frozen=True)
@@ -290,6 +288,14 @@ def mpe_solve(
     )
 
 
+def _reject(bad: np.ndarray, values: np.ndarray, grid: Grid, what: str, why: str) -> None:
+    """Raise ValueError naming the first grid point where bad holds and the value there."""
+    at = np.flatnonzero(bad)
+    if at.size:
+        p, value = float(grid.points[at[0]]), float(values[at[0]])
+        raise ValueError(f"{what} at p={p!r} is {value!r}, {why}")
+
+
 def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) -> float:
     """Largest one-step improvement any mover can find in the solution.
 
@@ -298,7 +304,9 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
     value and to the value of playing the recorded policy. For a
     converged solution the gain is bounded by the residual; a corrupted
     value or policy entry shows up as a strictly positive gain, and one
-    off the grid raises ValueError. All four movers are re-solved
+    off the grid raises ValueError. So does a non-finite mover or waiting
+    value: the gain would be NaN, or the maximum would drop it, and a NaN
+    gain fails no `gain > tol` test. All four movers are re-solved
     independently: the A/B mirror that mpe_solve relies on is not
     assumed here, so a wrong B table shows up too.
     """
@@ -308,19 +316,18 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
     worst = -math.inf
     for elite in (ELITE_A, ELITE_B):
         waiting = sol.waiting_values(elite)
+        _reject(~np.isfinite(waiting), waiting, grid, f"elite {elite}: the waiting value u{elite}", "not finite")
         # The Bellman step's state s is the mover who prefers policy s.
         _, best = greedy_step(params.beta, stages, costmat, waiting, grid)
         for s in (0, 1):
             pref = _preferred(elite, s)
+            owner = f"elite {elite}, state {s}"
+            mover = sol.mover_values(elite, s)
+            _reject(~np.isfinite(mover), mover, grid, f"{owner}: the mover value v{elite}{s}", "not finite")
             moves = sol.moves(elite, s)
             recorded = np.minimum(np.searchsorted(grid.points, moves), grid.n - 1)
-            off = np.flatnonzero(grid.points[recorded] != moves)
-            if off.size:
-                p, move = float(grid.points[off[0]]), float(moves[off[0]])
-                raise ValueError(f"elite {elite}, state {s}: the move at p={p!r} is {move!r}, not a grid point")
+            _reject(grid.points[recorded] != moves, moves, grid, f"{owner}: the move", "not a grid point")
             played = stages[pref][recorded] + params.beta * waiting[recorded] - move_cost(cost, grid, recorded)
-            gain = float(
-                max((best[pref] - sol.mover_values(elite, s)).max(), (best[pref] - played).max())
-            )
+            gain = float(max((best[pref] - mover).max(), (best[pref] - played).max()))
             worst = max(worst, gain)
     return worst

@@ -315,12 +315,18 @@ def test_oracle_check_rejects_a_move_outside_the_tied_maximizers(tmp_path, monke
     assert json.loads((tmp_path / "oracle_check.json").read_text())["checks"]["period2"]["passed"] is False
 
 
-@pytest.mark.parametrize("check, solver", [("period1", "period1_solve"), ("stackelberg", "stackelberg_solve")])
+@pytest.mark.parametrize(
+    "check, solver",
+    [("period2", "period2_solve"), ("period1", "period1_solve"), ("stackelberg", "stackelberg_solve")],
+)
 def test_oracle_check_fails_on_a_nan_value(tmp_path, monkeypatch, check, solver):
     solve = getattr(runner, solver)
 
     def nan_at_the_last_point(params, cost, p, s):
         sol = solve(params, cost, p, s)
+        if check == "period2":
+            move, value = sol
+            return move, np.append(value[:-1], math.nan)
         value = sol.value.copy()
         value[-1] = math.nan
         return dataclasses.replace(sol, value=value)

@@ -345,6 +345,22 @@ def test_verify_polarization_pull_clean_and_dirty():
     dirty_v = ValueTable(grid=grid, v0=sol.value.v0, v1=vbad)
     violations = ps.verify_polarization_pull(dirty_v, sol.policy)
     assert any(v.check == "value_peak" for v in violations)
+    # a NaN satisfies no comparison: both value steps next to a NaN value fail
+    vnan = sol.value.v1.copy()
+    vnan[i] = math.nan
+    violations = ps.verify_polarization_pull(ValueTable(grid=grid, v0=sol.value.v0, v1=vnan), sol.policy)
+    pts = grid.points.tolist()
+    assert [(v.check, v.s, v.p) for v in violations] == [("value_peak", 1, pts[i - 1]), ("value_peak", 1, pts[i])]
+    # a NaN move fails the pull at its point and monotonicity on both steps next to it
+    snan = sol.policy.sigma1.copy()
+    snan[i] = math.nan
+    dirty = ps.PolicyTable(grid=grid, sigma0=sol.policy.sigma0, sigma1=snan)
+    violations = ps.verify_polarization_pull(sol.value, dirty)
+    assert [(v.check, v.s, v.p) for v in violations] == [
+        ("pull", 1, pts[i]),
+        ("policy_monotone", 1, pts[i - 1]),
+        ("policy_monotone", 1, pts[i]),
+    ]
 
 
 def test_verify_polarization_pull_flags_violations_right_of_one_half():
@@ -371,9 +387,9 @@ def test_compare_cost_technologies_flags_a_costlier_move_further_on_both_sides(m
     costlier = ps.CostSpec.quadratic(20.0)
     solve = single_elite.solve_infinite
 
-    def further(params, cost, grid, max_iter):
+    def further(params, cost, grid):
         # the costlier technology jumps to 1/2 from everywhere
-        sol = solve(params, cost, grid, max_iter=max_iter)
+        sol = solve(params, cost, grid)
         if cost != costlier:
             return sol
         half = np.full(grid.n, 0.5)
@@ -385,6 +401,22 @@ def test_compare_cost_technologies_flags_a_costlier_move_further_on_both_sides(m
     for s in (0, 1):
         sides = {(v.p > 0.5, ">" in v.detail) for v in report.violations if v.s == s}
         assert sides == {(False, True), (True, False)}
+
+    def nan_moves(params, cost, grid):
+        # the costlier technology's moves are all NaN
+        sol = solve(params, cost, grid)
+        if cost != costlier:
+            return sol
+        nan = np.full(grid.n, math.nan)
+        return dataclasses.replace(sol, policy=ps.PolicyTable(grid=grid, sigma0=nan, sigma1=nan))
+
+    monkeypatch.setattr(single_elite, "solve_infinite", nan_moves)
+    report = ps.compare_cost_technologies(PARAMS, QUAD10, costlier, grid, mode="resolved")
+    left, right = grid.points[: grid.mid + 1].tolist(), grid.points[grid.mid :].tolist()
+    for s in (0, 1):
+        flagged = [(v.check, v.p, ">" in v.detail) for v in report.violations if v.s == s]
+        # every point fails on its side of 1/2, and 1/2 itself on both, left side first
+        assert flagged == [("shrink", p, True) for p in left] + [("shrink", p, False) for p in right]
 
 
 def test_compare_cost_technologies_rejects_an_unknown_mode():

@@ -323,6 +323,29 @@ def test_check_no_deviation_rejects_off_grid_moves(entry):
         ps.check_no_deviation(PARAMS, cost, bad)
 
 
+@pytest.mark.parametrize(
+    "table, owner",
+    [
+        ("vA0", "elite A, state 0: the mover value"),
+        ("vB1", "elite B, state 1: the mover value"),
+        ("uA", "elite A: the waiting value"),
+        ("uB", "elite B: the waiting value"),
+    ],
+    ids=["vA0", "vB1", "uA", "uB"],
+)
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_check_no_deviation_rejects_a_non_finite_value(table, owner, entry):
+    # max() drops a NaN, and a NaN gain fails no `gain > tol` test: the entry must raise
+    grid = ps.build_grid(51)
+    sol = ps.mpe_solve(PARAMS, QUAD10, grid)
+    broken = getattr(sol, table).copy()
+    broken[7] = entry
+    bad = dataclasses.replace(sol, **{table: broken})
+    message = f"{owner} {table} at p={float(grid.points[7])!r} is {entry!r}, not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ps.check_no_deviation(PARAMS, QUAD10, bad)
+
+
 def test_check_no_deviation_exact_on_injected_fixed_point():
     # with free moves the system has a flat fixed point; iterate the scalar
     # recursion to its floating-point limit and inject it
