@@ -14,6 +14,22 @@ pair goes to the mover's preferred side. The rule is symmetric under
 p -> 1 - p with the preferred side swapped, so mirror symmetry of the
 solutions is exact, not approximate.
 
+greedy's block loop only scores: per source it keeps the first maximum,
+which is the lowest tied destination, and the runner-up score. A source
+is tied when the two are equal, and one pass after the loop settles the
+tied sources src by the first step that applies:
+1. src ties itself: lo = hi = src.
+2. The lowest tie is above src: nothing at or below src ties, so
+   lo = hi = that tie.
+3. The highest tie, one reversed argmax over the source's scores scored
+   again, is below src: nothing above src ties, so lo = hi = that tie.
+4. Ties lie strictly on both sides: lo and hi are the nearest tie on
+   each side, searched for these sources only, and the rule decides.
+Steps 1 and 2 are O(1) per source; steps 3 and 4 score its row again.
+At k = 0 nearly every source ties. At the stationary state of a k = 0
+MPE half of the tied sources stay put, a quarter each take steps 2 and
+3, and none reaches step 4.
+
 Only this module reads the cost matrix. greedy takes its rows in blocks
 within a fixed byte budget, so the matrix is the only n x n array a
 solver holds; move_cost scores one given move per source without it.
@@ -120,7 +136,7 @@ def stage_payoffs(params: ModelParams, grid: Grid) -> list:
 
 
 # Bytes of scores the greedy kernel holds at once. A block of rows this
-# size stays in a core's cache while it is reduced and tested for ties.
+# size stays in a core's cache while it is reduced.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -134,57 +150,80 @@ def greedy(
 ):
     """Per source i, the best destination j of base[j] - costmat[i, j].
 
-    Returns (idx, best). A tied source goes to lo or hi by the tie rule
-    (see the module docstring). A gap array, if given, receives each
-    source's best score minus its runner-up: 0 exactly where a tie was
-    settled. rows, if given, is an array of sources: only those are
-    scored, and idx, best and gap run over them, each entry equal to the
-    full call's at its source. No n x n array of scores is ever formed.
+    Returns (idx, best). A gap array, if given, receives each source's
+    best score minus its runner-up: 0 exactly where a tie was settled.
+    rows, if given, is an array of sources: only those are scored, and
+    idx, best and gap run over them, each entry equal to the full call's
+    at its source. No n x n array of scores is ever formed.
+
+    The block loop only scores; the tied sources are settled after it,
+    each by the first of the module docstring's four steps that applies:
+    staying put, the lowest tie above the source, the highest tie below
+    it, or the tie rule between the nearest ties on both sides.
     """
     n = base.size
     m = n if rows is None else rows.size
-    pts = grid.points
     block = max(1, _BLOCK_BYTES // (8 * n))
     buf = np.empty((min(block, m), n))
     best = np.empty(m)
     idx = np.empty(m, dtype=np.intp)
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        scores = buf[: stop - start]
-        moves = costmat[start:stop] if rows is None else costmat[rows[start:stop]]
-        np.subtract(base, moves, out=scores)
+    runner_up = np.empty(m) if gap is None else gap
+    for start, stop, scores in _score_blocks(base, costmat, rows, m, buf):
         r = np.arange(stop - start)
-        block_idx = scores.argmax(axis=1)
-        block_best = scores[r, block_idx]
-        idx[start:stop] = block_idx
-        best[start:stop] = block_best
+        block_idx = idx[start:stop] = scores.argmax(axis=1)
+        best[start:stop] = scores[r, block_idx]
         # A source is tied when its best score recurs with the argmax masked.
         scores[r, block_idx] = -np.inf
-        runner_up = scores.max(axis=1, out=None if gap is None else gap[start:stop])
-        tied_rows = np.flatnonzero(runner_up == block_best)
-        if not tied_rows.size:
-            continue
-        scores[r, block_idx] = block_best
-        tied = (scores == block_best[:, None])[tied_rows]
-        # Tied destinations of every tied source, as sorted positions in one
-        # flat array: tied source r owns positions offset[r] to offset[r] + n - 1.
-        counts = np.count_nonzero(tied, axis=1)
-        pos = np.flatnonzero(tied)
-        offset = np.arange(tied_rows.size) * n
-        first = np.cumsum(counts) - counts  # where each source's run starts in pos
-        at = start + tied_rows
-        src = at if rows is None else rows[at]
-        below = np.searchsorted(pos, offset + src, side="right") - 1
-        above = np.searchsorted(pos, offset + src)
-        # A source tied on one side of itself only keeps that side's destination.
-        has_lo, has_hi = below >= first, above < first + counts
-        lo = pos[np.where(has_lo, below, above)] - offset
-        hi = pos[np.where(has_hi, above, below)] - offset
-        near, far = (hi, lo) if prefer_right else (lo, hi)
-        idx[at] = np.where(_wins_tie(pts[far], pts[near], pts[src]), far, near)
+        scores.max(axis=1, out=runner_up[start:stop])
+    _settle_ties(base, costmat, grid, prefer_right, idx, best, runner_up, rows, buf)
     if gap is not None:
         np.subtract(best, gap, out=gap)  # gap held the runner-up scores
     return idx, best
+
+
+def _score_blocks(base, costmat, sources, m, buf):
+    """(start, stop, scores) per block of buf's rows, scores[r] = base - costmat[sources[start + r]].
+
+    sources None stands for every source, 0 to m - 1.
+    """
+    for start in range(0, m, buf.shape[0]):
+        stop = min(start + buf.shape[0], m)
+        moves = costmat[start:stop] if sources is None else costmat[sources[start:stop]]
+        yield start, stop, np.subtract(base, moves, out=buf[: stop - start])
+
+
+def _settle_ties(base, costmat, grid, prefer_right, idx, best, runner_up, rows, buf):
+    """Settle idx where runner_up equals best, by the module docstring's steps 1 to 4."""
+    at = np.flatnonzero(runner_up == best)
+    if not at.size:
+        return
+    n = base.size
+    src = at if rows is None else rows[at]
+    # 1. The block loop's own subtraction, so this is src's score there.
+    stays = base[src] - costmat[src, src] == best[at]
+    idx[at[stays]] = src[stays]
+    # 2. idx > src is the lowest tie and stays.
+    tie_below = ~stays & (idx[at] < src)
+    at, src = at[tie_below], src[tie_below]
+    # 3. A tied row holds no NaN (argmax would have taken it, and NaN equals
+    # nothing), so its last maximum is its highest tie.
+    top = np.empty(at.size, dtype=np.intp)
+    for start, stop, scores in _score_blocks(base, costmat, src, at.size, buf):
+        top[start:stop] = n - 1 - scores[:, ::-1].argmax(axis=1)
+    all_below = top < src
+    idx[at[all_below]] = top[all_below]
+    at, src = at[~all_below], src[~all_below]
+    # 4.
+    lo, hi = np.empty(at.size, dtype=np.intp), np.empty(at.size, dtype=np.intp)
+    cols = np.arange(n)
+    for start, stop, scores in _score_blocks(base, costmat, src, at.size, buf):
+        tied = scores == best[at[start:stop], None]
+        source = src[start:stop, None]
+        hi[start:stop] = (tied & (cols > source)).argmax(axis=1)
+        lo[start:stop] = n - 1 - (tied & (cols < source))[:, ::-1].argmax(axis=1)
+    pts = grid.points
+    near, far = (hi, lo) if prefer_right else (lo, hi)
+    idx[at] = np.where(_wins_tie(pts[far], pts[near], pts[src]), far, near)
 
 
 def greedy_step(

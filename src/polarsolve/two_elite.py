@@ -139,15 +139,14 @@ def stackelberg_solve(params: ModelParams, cost: CostSpec, p0, s1: int) -> Stack
         CandidateEvaluation(points, stage_payoff(s1, points, H) + beta * phi, INACTION),
         CandidateEvaluation(np.full(points.shape, 0.5), H - evaluate_cost(cost, points - 0.5), MEDIAN),
     ]
-    if math.isfinite(delta):
-        right = 0.5 + delta
-        if right <= 1.0:
-            value = H * (s1 == 1) - evaluate_cost(cost, right - points) + beta * pi * H
-            candidates.append(CandidateEvaluation(np.full(points.shape, right), value, SEMI_LOCK_RIGHT))
-        left = 0.5 - delta
-        if left >= 0.0:
-            value = H * (s1 == 0) - evaluate_cost(cost, points - left) + beta * (1.0 - pi) * H
-            candidates.append(CandidateEvaluation(np.full(points.shape, left), value, SEMI_LOCK_LEFT))
+    right = 0.5 + delta
+    if right <= 1.0:
+        value = H * (s1 == 1) - evaluate_cost(cost, right - points) + beta * pi * H
+        candidates.append(CandidateEvaluation(np.full(points.shape, right), value, SEMI_LOCK_RIGHT))
+    left = 0.5 - delta
+    if left >= 0.0:
+        value = H * (s1 == 0) - evaluate_cost(cost, points - left) + beta * (1.0 - pi) * H
+        candidates.append(CandidateEvaluation(np.full(points.shape, left), value, SEMI_LOCK_LEFT))
     return StackelbergSolution(*best_candidate(candidates, points), phi_at_p0=phi)
 
 

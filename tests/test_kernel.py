@@ -1,5 +1,6 @@
-"""The kernel's source-subset greedy call and the certified backward steps."""
+"""The kernel's source-subset greedy call, its tie pass and the certified backward steps."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
-from polarsolve import kernel
-from polarsolve.kernel import CertifiedSteps, cost_matrix, greedy
+from polarsolve import kernel, two_elite
+from polarsolve.kernel import CertifiedSteps, cost_matrix, greedy, stage_payoffs
+from tie_reference import break_tie, greedy_by_column
 
 
 def bits(x) -> bytes:
@@ -52,6 +54,67 @@ def test_greedy_rows_straddle_tie_goes_to_preferred_side(prefer_right):
     full, _ = greedy(base, costmat, grid, prefer_right)
     assert idx[0] == (mid + d if prefer_right else mid - d)
     assert idx.tolist() == [full[mid], full[0]]
+
+
+@pytest.mark.parametrize("prefer_right", [False, True])
+@pytest.mark.parametrize("rows", [None, [22, 11, 0, 7, 16, 9, 11, 12, 3, 19, 14, 10, 6]])
+def test_tie_pass_settles_each_step_as_the_reference(prefer_right, rows):
+    grid = ps.build_grid(23)
+    costmat = cost_matrix(ps.CostSpec.quadratic(0.0), grid)
+    # k = 0 and two tied plateaus, 6-8 and 14-17, around the middle point 11
+    base = np.zeros(grid.n)
+    base[[6, 7, 8, 14, 15, 16, 17]] = 1.0
+    sources = np.arange(grid.n) if rows is None else np.array(rows)
+    # three sources a block: the tied sources of every step span several blocks
+    with mock.patch.object(kernel, "_BLOCK_BYTES", 3 * 8 * grid.n):
+        gap = np.empty(sources.size)
+        idx, _ = greedy(base, costmat, grid, prefer_right, gap, rows=None if rows is None else sources)
+    assert not gap.any()
+    # every source ties: plateau sources stay put (step 1), those below 6 take
+    # 6 (step 2) and those above 17 take 17 (step 3); 9-13 see ties on both
+    # sides (step 4), and 11 sees 8 and 14 at equal distance from 1/2
+    want = {s: s for s in (6, 7, 8, 14, 15, 16, 17)}
+    want.update({s: 6 for s in range(6)})
+    want.update({s: 17 for s in range(18, 23)})
+    want.update({9: 8, 10: 8, 12: 14, 13: 14, 11: 14 if prefer_right else 8})
+    assert idx.tolist() == [want[s] for s in sources]
+    for src, to in zip(sources, idx):
+        scores = base - costmat[src]
+        assert to == break_tie(np.flatnonzero(scores == scores.max()), src, grid, prefer_right)
+
+
+def test_tie_pass_on_the_stationary_k0_mpe_base():
+    # at the k = 0 stationary state every source of both states ties
+    params = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
+    cost, grid = ps.CostSpec.quadratic(0.0), ps.build_grid(501)
+    sol = two_elite.mpe_solve(params, cost, grid)
+    assert sol.cycle_period == 1
+    costmat = cost_matrix(cost, grid)
+    for s, stage in enumerate(stage_payoffs(params, grid)):
+        base = stage + params.beta * sol.uA
+        gap = np.empty(grid.n)
+        idx, best = greedy(base, costmat, grid, s == 1, gap)
+        assert not gap.any()
+        want_idx, want_best = greedy_by_column(base[:, None] - costmat, grid, s == 1)
+        assert idx.tolist() == want_idx.tolist()
+        assert bits(best) == bits(want_best)
+
+
+def test_tie_pass_holds_no_n_by_n_array():
+    grid = ps.build_grid(1001)
+    costmat = cost_matrix(ps.CostSpec.quadratic(0.0), grid)
+    # tied on both sides of 1/2: every source ties, and sources reach steps 1 to 4
+    base = np.zeros(grid.n)
+    base[[100, 101, 700, 701, 900]] = 1.0
+    gap = np.empty(grid.n)
+    tracemalloc.start()
+    try:
+        greedy(base, costmat, grid, False, gap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not gap.any()
+    assert peak < 4 * kernel._BLOCK_BYTES + 64 * grid.n < costmat.nbytes // 4
 
 
 def peaked_base(grid, top):
