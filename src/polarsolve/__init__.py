@@ -19,6 +19,7 @@ from .kernel import CandidateEvaluation
 from .oracle import (
     OracleResult,
     brute_force_one_step,
+    brute_force_period2,
     brute_force_stackelberg,
     brute_force_two_period_single,
 )

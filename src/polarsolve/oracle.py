@@ -6,7 +6,14 @@ logic or candidate sets, so agreement between an oracle and a solver is
 evidence, not tautology. Ties always break to the lowest grid index,
 which is deliberately different from the solvers' tie-breaking: tests
 compare values, not argmax identity, when ties are possible, and
-brute_force_one_step counts the points attaining its maximum.
+brute_force_one_step and brute_force_period2 count the points attaining
+the maximum.
+
+The period-2 problem is scored once: period2_response_tables keeps each
+preference's max and lowest maximizer per landing point, the single
+elite's continuation reads the max, and the rival's reply reads the
+maximizer of the preference the rival holds. Every scan over a set of
+starting points works in blocks of _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ class OracleResult:
     argmax: float | np.ndarray
     value: float | np.ndarray
     # Oracle points attaining the maximum, of which argmax is the lowest
-    # (counted by brute_force_one_step only).
+    # (counted by brute_force_one_step and brute_force_period2 only).
     maximizers: int | None = None
 
 
@@ -42,16 +49,18 @@ def brute_force_one_step(objective, oracle_grid: Grid) -> OracleResult:
 
 @dataclass(frozen=True)
 class TwoPeriodTables:
-    """Second-period best-response values, brute-forced on the oracle grid."""
+    """Second-period best responses, brute-forced on the oracle grid, per landing point p1."""
 
     grid: Grid
     best0: np.ndarray  # value of the period-2 problem per landing point, s2 = 0
     best1: np.ndarray  # same for s2 = 1
+    reply0: np.ndarray  # its lowest maximizing oracle point, s2 = 0
+    reply1: np.ndarray  # same for s2 = 1
 
 
-# Bytes of one block of move costs. The response tables and the two-period
-# brute forces score their sources a block at a time, so they hold a few
-# such blocks, never a sources x n array.
+# Bytes of one block of move costs. The response tables and the scans
+# score their sources a block at a time, so they hold a few such blocks,
+# never a sources x n array.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -70,48 +79,53 @@ def _cost_blocks(cost: CostSpec, pts: np.ndarray, sources: np.ndarray):
 def period2_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid) -> TwoPeriodTables:
     """Enumerate the period-2 problem max_{p2} [R(s2, p2) - c(p2 - p1)] per p1.
 
-    Each block of p1 is costed once and scored for both s2.
+    Each block of p1 is costed once and scored for both s2, for its max
+    and its first argmax.
     """
     pts = oracle_grid.points
     stages = [stage_payoff(s2, pts, params.H) for s2 in (0, 1)]
     best = [np.empty(oracle_grid.n), np.empty(oracle_grid.n)]
+    reply = [np.empty(oracle_grid.n, dtype=np.intp), np.empty(oracle_grid.n, dtype=np.intp)]
     for block, costs in _cost_blocks(cost, pts, pts):
         for s2 in (0, 1):
-            best[s2][block] = (stages[s2] - costs).max(axis=1)
-    return TwoPeriodTables(grid=oracle_grid, best0=best[0], best1=best[1])
+            scores = stages[s2] - costs
+            reply[s2][block] = scores.argmax(axis=1)
+            best[s2][block] = scores.max(axis=1)
+    return TwoPeriodTables(oracle_grid, best[0], best[1], pts[reply[0]], pts[reply[1]])
 
 
-def _two_period_scan(
-    params: ModelParams, cost: CostSpec, p0, s1: int, oracle_grid: Grid, continuation: np.ndarray
-) -> OracleResult:
-    """Maximize R(s1, p1) - c(p1 - p0) + beta * continuation[p1] over the oracle points p1, per p0.
+def _scan(params: ModelParams, cost: CostSpec, p0, s: int, oracle_grid: Grid, later=None, count=False) -> OracleResult:
+    """Maximize R(s, q) - c(q - p0) (+ later[q]) over the oracle points q, per p0.
 
-    p0 is one starting point or an array of them; the lowest-index argmax
-    and the max come back in its shape.
+    p0 is one starting point or an array of them; the lowest-index argmax,
+    the max and, if count, the number of maximizers come back in its shape.
     """
     pts = oracle_grid.points
     starts = np.asarray(p0, dtype=float)
     sources = starts.ravel()
-    stage = stage_payoff(s1, pts, params.H)
-    later = params.beta * continuation
+    stage = stage_payoff(s, pts, params.H)
     idx = np.empty(sources.size, dtype=np.intp)
     value = np.empty(sources.size)
+    ties = np.zeros(sources.size, dtype=np.intp)
     for block, costs in _cost_blocks(cost, pts, sources):
-        values = stage - costs + later  # this order fixes the bits oracle-check reports
+        values = stage - costs if later is None else stage - costs + later  # this order fixes the reported bits
         idx[block] = values.argmax(axis=1)
         value[block] = values.max(axis=1)
+        if count:
+            ties[block] = np.count_nonzero(values == value[block, None], axis=1)
     if starts.ndim == 0:
-        return OracleResult(argmax=float(pts[idx[0]]), value=float(value[0]))
-    return OracleResult(argmax=pts[idx].reshape(starts.shape), value=value.reshape(starts.shape))
+        return OracleResult(float(pts[idx[0]]), float(value[0]), int(ties[0]) if count else None)
+    shape = starts.shape
+    return OracleResult(pts[idx].reshape(shape), value.reshape(shape), ties.reshape(shape) if count else None)
+
+
+def brute_force_period2(params: ModelParams, cost: CostSpec, p, s2: int, oracle_grid: Grid) -> OracleResult:
+    """Exhaustive period-2 move max_q [R(s2, q) - c(q - p)], from one p or an array, maximizers counted."""
+    return _scan(params, cost, p, s2, oracle_grid, count=True)
 
 
 def brute_force_two_period_single(
-    params: ModelParams,
-    cost: CostSpec,
-    p0,
-    s1: int,
-    oracle_grid: Grid,
-    tables: TwoPeriodTables | None = None,
+    params: ModelParams, cost: CostSpec, p0, s1: int, oracle_grid: Grid, tables: TwoPeriodTables | None = None
 ) -> OracleResult:
     """Exhaustive two-period solve for the single elite, from one p0 or an array of them.
 
@@ -122,7 +136,7 @@ def brute_force_two_period_single(
     if tables is None or tables.grid is not oracle_grid:
         tables = period2_response_tables(params, cost, oracle_grid)
     continuation = params.pi * tables.best1 + (1.0 - params.pi) * tables.best0
-    return _two_period_scan(params, cost, p0, s1, oracle_grid, continuation)
+    return _scan(params, cost, p0, s1, oracle_grid, params.beta * continuation)
 
 
 @dataclass(frozen=True)
@@ -133,39 +147,32 @@ class RivalResponseTables:
     leader_continuation: np.ndarray  # E_{s2}[leader stage payoff] per landing p1
 
 
-def rival_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Grid) -> RivalResponseTables:
-    """Brute-force the follower's period-2 reply for every period-1 position.
+def rival_response_tables(
+    params: ModelParams, cost: CostSpec, oracle_grid: Grid, tables: TwoPeriodTables | None = None
+) -> RivalResponseTables:
+    """The follower's brute-forced period-2 reply for every period-1 position.
 
     The follower prefers policy 1 - s2 and, at an exact half split, gets
-    to implement it. The leader's continuation averages its own payoff
-    over s2 under those replies. Shares no code with the closed-form
-    follower strategy.
+    to implement it, so it faces exactly the period-2 problem of
+    preference 1 - s2: its reply is that problem's lowest maximizer, read
+    from the period-2 tables (built here when none are passed). The
+    leader's continuation averages its own payoff over s2 under those
+    replies. Shares no code with the closed-form follower strategy.
     """
-    pts = oracle_grid.points
-    follower_stage = [params.H * (implemented_policy(pts, 1 - s2) == 1 - s2) for s2 in (0, 1)]
-    reply_idx = [np.empty(oracle_grid.n, dtype=np.intp), np.empty(oracle_grid.n, dtype=np.intp)]
-    for block, costs in _cost_blocks(cost, pts, pts):
-        for s2 in (0, 1):
-            reply_idx[s2][block] = (follower_stage[s2] - costs).argmax(axis=1)
+    if tables is None or tables.grid is not oracle_grid:
+        tables = period2_response_tables(params, cost, oracle_grid)
     expected = np.zeros(oracle_grid.n)
-    for s2 in (0, 1):
-        pref = 1 - s2
-        landed = pts[reply_idx[s2]]
-        leader_payoff = params.H * (implemented_policy(landed, pref) == s2)
+    for s2, landed in ((0, tables.reply1), (1, tables.reply0)):
+        leader_payoff = params.H * (implemented_policy(landed, 1 - s2) == s2)
         prob = params.pi if s2 == 1 else 1.0 - params.pi
         expected = expected + prob * leader_payoff
     return RivalResponseTables(grid=oracle_grid, leader_continuation=expected)
 
 
 def brute_force_stackelberg(
-    params: ModelParams,
-    cost: CostSpec,
-    p0,
-    s1: int,
-    oracle_grid: Grid,
-    tables: RivalResponseTables | None = None,
+    params: ModelParams, cost: CostSpec, p0, s1: int, oracle_grid: Grid, tables: RivalResponseTables | None = None
 ) -> OracleResult:
     """Exhaustive two-period leader problem against the brute-forced follower, from one p0 or an array."""
     if tables is None or tables.grid is not oracle_grid:
         tables = rival_response_tables(params, cost, oracle_grid)
-    return _two_period_scan(params, cost, p0, s1, oracle_grid, tables.leader_continuation)
+    return _scan(params, cost, p0, s1, oracle_grid, params.beta * tables.leader_continuation)

@@ -3,8 +3,12 @@
 Outputs are deterministic: identical configs produce byte-identical CSVs
 and JSON artifacts. Floats are written with Python's shortest exact
 representation, so parsing an emitted file recovers the in-memory table
-bit for bit. The only nondeterministic value (wall time) lives inside the
-manifest's diagnostics block.
+bit for bit. Each distinct float64 bit pattern of a file is spelled once,
+and each file is joined once from its fixed fragments and the spelled
+cells. Every writer returns the SHA-256 of the bytes it wrote, which the
+manifest lists; no artifact is read back. The only nondeterministic
+values (wall time and per-phase seconds) live inside the manifest's
+diagnostics block.
 """
 
 from __future__ import annotations
@@ -53,50 +57,70 @@ class RunResult:
     manifest: dict
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    # tolist() yields Python floats, whose repr is the shortest round-trip form.
-    lines = [",".join(header)]
-    for row in zip(*(column.tolist() for column in columns)):
-        lines.append(",".join(map(repr, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _spelled_columns(columns: list, spell) -> list:
+    """Every column's values as strings, in order; spell(values) spells a list of Python values.
+
+    The float64 arrays among the columns are spelled together: each
+    distinct bit pattern (so -0.0 apart from 0.0) once, and the spellings
+    gathered back. Any other column is spelled as a list.
+    """
+    is_float = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
+    floats = [c for c, f in zip(columns, is_float) if f]
+    if floats:
+        bits, inverse = np.unique(np.concatenate(floats).view(np.int64), return_inverse=True)
+        words = np.array(spell(bits.view(np.float64).tolist()), dtype=object)[inverse]
+        float_words = iter(np.split(words, np.cumsum([c.size for c in floats])[:-1]))
+    others = (spell(c.tolist() if isinstance(c, np.ndarray) else c) for c, f in zip(columns, is_float) if not f)
+    return [next(float_words) if f else next(others) for f in is_float]
 
 
-def emit_policy_csv(tables, path) -> None:
-    """Write a policy CSV (single-elite or two-elite schema) to path."""
+def _joined(head: str, cells: list, after: list, last: str) -> str:
+    """head, then row after row of cells, each cells[j][i] followed by after[j]; last ends the final row.
+
+    One join lays out a whole table from its fixed fragments.
+    """
+    parts = np.empty((len(cells[0]), 2 * len(cells)), dtype=object)
+    for j, column in enumerate(cells):
+        parts[:, 2 * j] = column
+        parts[:, 2 * j + 1] = after[j]
+    parts[-1, -1] = last
+    return head + "".join(parts.ravel().tolist())
+
+
+def _write(path: Path, text: str) -> str:
+    """Write text as UTF-8 and return the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
+    # repr of a Python float is its shortest round-trip spelling.
+    cells = _spelled_columns(columns, lambda values: list(map(repr, values)))
+    after = [","] * (len(columns) - 1) + ["\n"]
+    return _write(path, _joined(",".join(header) + "\n", cells, after, "\n"))
+
+
+def emit_policy_csv(tables, path) -> str:
+    """Write a policy CSV (single-elite or two-elite schema) to path; return its SHA-256."""
     path = Path(path)
     if isinstance(tables, MpeSolution):
-        _write_csv(
-            path,
-            MPE_POLICY_HEADER,
-            [tables.grid.points, tables.sigmaA0, tables.sigmaA1, tables.sigmaB0, tables.sigmaB1],
-        )
-    elif isinstance(tables, PolicyTable):
-        _write_csv(path, SINGLE_POLICY_HEADER, [tables.grid.points, tables.sigma0, tables.sigma1])
-    else:
-        raise TypeError(f"cannot emit policy CSV for {type(tables).__name__}")
+        columns = [tables.sigmaA0, tables.sigmaA1, tables.sigmaB0, tables.sigmaB1]
+        return _write_csv(path, MPE_POLICY_HEADER, [tables.grid.points, *columns])
+    if isinstance(tables, PolicyTable):
+        return _write_csv(path, SINGLE_POLICY_HEADER, [tables.grid.points, tables.sigma0, tables.sigma1])
+    raise TypeError(f"cannot emit policy CSV for {type(tables).__name__}")
 
 
-def emit_value_csv(tables, path) -> None:
-    """Write a value CSV (single-elite or two-elite schema) to path."""
+def emit_value_csv(tables, path) -> str:
+    """Write a value CSV (single-elite or two-elite schema) to path; return its SHA-256."""
     path = Path(path)
     if isinstance(tables, MpeSolution):
-        _write_csv(
-            path,
-            MPE_VALUE_HEADER,
-            [
-                tables.grid.points,
-                tables.vA0,
-                tables.vA1,
-                tables.uA,
-                tables.vB0,
-                tables.vB1,
-                tables.uB,
-            ],
-        )
-    elif isinstance(tables, ValueTable):
-        _write_csv(path, SINGLE_VALUE_HEADER, [tables.grid.points, tables.v0, tables.v1])
-    else:
-        raise TypeError(f"cannot emit value CSV for {type(tables).__name__}")
+        columns = [tables.vA0, tables.vA1, tables.uA, tables.vB0, tables.vB1, tables.uB]
+        return _write_csv(path, MPE_VALUE_HEADER, [tables.grid.points, *columns])
+    if isinstance(tables, ValueTable):
+        return _write_csv(path, SINGLE_VALUE_HEADER, [tables.grid.points, tables.v0, tables.v1])
+    raise TypeError(f"cannot emit value CSV for {type(tables).__name__}")
 
 
 def read_table_csv(path) -> dict[str, np.ndarray]:
@@ -108,28 +132,51 @@ def read_table_csv(path) -> dict[str, np.ndarray]:
     return columns
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_json(path: Path, data) -> str:
+    return _write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+class _Phases(dict):
+    """Seconds spent solving, checking, and writing and hashing the artifacts (the manifest aside).
+
+    lap(phase) charges the time since the previous lap to phase.
+    """
+
+    def __init__(self, *spent: dict):
+        """Start timing now, from the sums of the phases spent."""
+        super().__init__({key: math.fsum(p[key] for p in spent) for key in ("solve_s", "check_s", "write_s")})
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> float:
+        now = time.perf_counter()
+        spent, self._mark = now - self._mark, now
+        self[phase] += spent
+        return spent
 
 
 def _finish(
-    config: ExperimentConfig, out_dir: Path, diagnostics: dict, artifacts: list[str], exit_code: int = EXIT_OK
+    config: ExperimentConfig, out_dir: Path, diagnostics: dict, artifacts: dict, phases: _Phases, exit_code=EXIT_OK
 ) -> RunResult:
-    """Write the manifest over the artifacts (paths relative to out_dir) and wrap the result."""
+    """Write the manifest over the artifacts (path relative to out_dir -> SHA-256) and wrap the result."""
+    phases.lap("write_s")
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
         "experiment": config.experiment,
         "config": config_as_dict(config),
-        "diagnostics": diagnostics,
-        "artifacts": [{"path": name, "sha256": _sha256(out_dir / name)} for name in artifacts],
+        "diagnostics": {**diagnostics, "phases": dict(phases)},
+        "artifacts": [{"path": name, "sha256": digest} for name, digest in artifacts.items()],
     }
     _write_json(out_dir / "manifest.json", manifest)
     return RunResult(exit_code, out_dir, manifest)
+
+
+def _emit_tables(policy, value, out_dir: Path) -> dict:
+    """Write policy.csv and value.csv; return their digests by name."""
+    return {
+        "policy.csv": emit_policy_csv(policy, out_dir / "policy.csv"),
+        "value.csv": emit_value_csv(value, out_dir / "value.csv"),
+    }
 
 
 def _model_inputs(config: ExperimentConfig):
@@ -141,11 +188,10 @@ def _model_inputs(config: ExperimentConfig):
 
 def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
     params, cost, grid = _model_inputs(config)
-    start = time.perf_counter()
+    phases = _Phases()
     sol = solve_infinite(params, cost, grid, max_iter=config.max_iter)
-    elapsed = time.perf_counter() - start
-    emit_policy_csv(sol.policy, out_dir / "policy.csv")
-    emit_value_csv(sol.value, out_dir / "value.csv")
+    elapsed = phases.lap("solve_s")
+    artifacts = _emit_tables(sol.policy, sol.value, out_dir)
     diagnostics = {
         "wall_time_s": elapsed,
         "iterations": sol.iterations,
@@ -156,40 +202,35 @@ def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
         "exact_ties": sol.exact_ties,
     }
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
-    return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv"], code)
+    return _finish(config, out_dir, diagnostics, artifacts, phases, code)
 
 
-# Records are built as columns: lists of tolist() values, one per key and
-# point. tolist() yields Python floats, which json spells by their shortest
-# round-trip repr (a numpy float's repr would be np.float64(...)).
-def _candidate_columns(points: list, sol) -> list[dict]:
+# Records are built as columns, one per key and point: the solvers' float
+# arrays as they are, and lists for the states and provenance strings.
+def _candidate_columns(points: np.ndarray, sol) -> list[dict]:
     return [
-        {
-            "candidate": e.candidate.tolist(),
-            "objective": e.objective.tolist(),
-            "provenance": [e.provenance] * len(points),
-        }
+        {"candidate": e.candidate, "objective": e.objective, "provenance": [e.provenance] * points.size}
         for e in sol.candidates
     ]
 
 
-def _period1_columns(points: list, s: int, sol) -> dict:
+def _period1_columns(points: np.ndarray, s: int, sol) -> dict:
     return {
         "p": points,
-        "s": [s] * len(points),
-        "chosen": sol.p_next.tolist(),
-        "value": sol.value.tolist(),
+        "s": [s] * points.size,
+        "chosen": sol.p_next,
+        "value": sol.value,
         "candidates": _candidate_columns(points, sol),
     }
 
 
-def _stackelberg_columns(points: list, s1: int, sol) -> dict:
+def _stackelberg_columns(points: np.ndarray, s1: int, sol) -> dict:
     return {
         "p0": points,
-        "s1": [s1] * len(points),
-        "chosen": sol.chosen.tolist(),
-        "value": sol.value.tolist(),
-        "phi": sol.phi_at_p0.tolist(),
+        "s1": [s1] * points.size,
+        "chosen": sol.chosen,
+        "value": sol.value,
+        "phi": sol.phi_at_p0,
         "candidates": _candidate_columns(points, sol),
     }
 
@@ -212,23 +253,29 @@ def _records_json(states: list[dict]) -> str:
     In each, record i maps every key to columns[key][i], except
     "candidates": a list that holds, for each dict of columns in
     columns["candidates"], the dict of their i-th values. json's indenting
-    encoder is pure Python and costs more than the solves, so each record's
-    values are filled into one template that json.dumps lays out from
-    placeholders.
+    encoder is pure Python and costs more than the solves, so json.dumps
+    lays out one record of each dict of columns from placeholders, and the
+    file is joined once from those fixed fragments and the spelled values.
+    The float64 array columns of all states are spelled together, each
+    distinct value once.
     """
-    records = []
+    fragments, leaves = [], []
     for columns in states:
         layout = {key: "%s" for key in columns}
         layout["candidates"] = [{field: "%s" for field in slot} for slot in columns["candidates"]]
-        template = json.dumps(layout, indent=2, sort_keys=True).replace("%", "%%").replace('"%%s"', "%s")
-        template = template.replace("\n", "\n  ")  # a record sits one level deep in the list
-        leaves = []  # the value columns in the order json.dumps visits them
+        # A record sits one level deep in the list.
+        fragments.append(json.dumps(layout, indent=2, sort_keys=True).replace("\n", "\n  ").split('"%s"'))
+        leaves.append([])  # the value columns in the order json.dumps visits them
         for key in sorted(columns):
             if key == "candidates":
-                leaves += [slot[field] for slot in columns[key] for field in sorted(slot)]
+                leaves[-1] += [slot[field] for slot in columns[key] for field in sorted(slot)]
             else:
-                leaves.append(columns[key])
-        records += (template % row for row in zip(*map(_spelled, leaves)))
+                leaves[-1].append(columns[key])
+    spelled = iter(_spelled_columns(sum(leaves, []), _spelled))
+    records = []
+    for parts, state in zip(fragments, leaves):
+        after = parts[1:-1] + [parts[-1] + ",\n  " + parts[0]]
+        records.append(_joined(parts[0], [next(spelled) for _ in state], after, parts[-1]))
     return "[\n  " + ",\n  ".join(records) + "\n]\n"
 
 
@@ -241,17 +288,13 @@ def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, columns) -> 
     and value tables.
     """
     params, cost, grid = _model_inputs(config)
-    points = grid.points.tolist()
-    start = time.perf_counter()
-    states = [columns(points, s, solve(params, cost, grid.points, s)) for s in (0, 1)]
-    elapsed = time.perf_counter() - start
-    sigma0, sigma1 = (np.array(state["chosen"]) for state in states)
-    v0, v1 = (np.array(state["value"]) for state in states)
-    emit_policy_csv(PolicyTable(grid=grid, sigma0=sigma0, sigma1=sigma1), out_dir / "policy.csv")
-    emit_value_csv(ValueTable(grid=grid, v0=v0, v1=v1), out_dir / "value.csv")
-    (out_dir / "candidates.json").write_text(_records_json(states), encoding="utf-8")
-    diagnostics = {"wall_time_s": elapsed, "points": grid.n}
-    return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv", "candidates.json"])
+    phases = _Phases()
+    states = [columns(grid.points, s, solve(params, cost, grid.points, s)) for s in (0, 1)]
+    elapsed = phases.lap("solve_s")
+    (sigma0, v0), (sigma1, v1) = ((state["chosen"], state["value"]) for state in states)
+    artifacts = _emit_tables(PolicyTable(grid, sigma0, sigma1), ValueTable(grid, v0, v1), out_dir)
+    artifacts["candidates.json"] = _write(out_dir / "candidates.json", _records_json(states))
+    return _finish(config, out_dir, {"wall_time_s": elapsed, "points": grid.n}, artifacts, phases)
 
 
 # The solve functions are looked up when a run starts, not bound here, so
@@ -271,11 +314,12 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
     # the best-response dynamics genuinely cycle for many cost levels, which is
     # a property of the game, not a solver failure.
     params, cost, grid = _model_inputs(config)
-    start = time.perf_counter()
+    phases = _Phases()
     sol = mpe_solve(params, cost, grid, horizon=config.horizon, residual_tol=config.tol)
-    elapsed = time.perf_counter() - start
-    emit_policy_csv(sol, out_dir / "policy.csv")
-    emit_value_csv(sol, out_dir / "value.csv")
+    elapsed = phases.lap("solve_s")
+    gain = check_no_deviation(params, cost, sol)
+    phases.lap("check_s")
+    artifacts = _emit_tables(sol, sol, out_dir)
     diagnostics = {
         "wall_time_s": elapsed,
         "horizon_used": sol.horizon_used,
@@ -285,37 +329,38 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
         "cycle_entered_at": sol.cycle_entered_at,
         "dense_calls": sol.dense_calls,
         "rescored_sources": sol.rescored_sources,
-        "no_deviation_gain": check_no_deviation(params, cost, sol),
+        "no_deviation_gain": gain,
     }
-    return _finish(config, out_dir, diagnostics, ["policy.csv", "value.csv"])
+    return _finish(config, out_dir, diagnostics, artifacts, phases)
 
 
 def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:
     names = [name for name, _ in config.sweep_axes]
     start = time.perf_counter()
     lines = [",".join(["combo"] + names + ["dir", "policy_csv", "value_csv"])]
-    artifacts = ["index.csv"]
+    artifacts = {"index.csv": ""}  # listed first, hashed once written
+    spent = []  # each combination's phases
     worst = EXIT_OK
     for index, (values, solver_config) in enumerate(sweep_combinations(config)):
         result = run_config(solver_config, out_dir / f"combo_{index:03d}")
         rel = result.out_dir.relative_to(out_dir)
-        lines.append(
-            ",".join(
-                [f"{index:03d}"]
-                + [repr(v) for v in values]
-                + [str(rel), str(rel / "policy.csv"), str(rel / "value.csv")]
-            )
-        )
-        artifacts += [str(rel / entry["path"]) for entry in result.manifest["artifacts"]]
+        row = [f"{index:03d}", *map(repr, values), str(rel), str(rel / "policy.csv"), str(rel / "value.csv")]
+        lines.append(",".join(row))
+        # The combination's manifest already holds the digests of the bytes it wrote.
+        artifacts.update((str(rel / entry["path"]), entry["sha256"]) for entry in result.manifest["artifacts"])
+        spent.append(result.manifest["diagnostics"]["phases"])
         worst = max(worst, result.exit_code)
-    (out_dir / "index.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    phases = _Phases(*spent)  # the combinations' sums; the index write is timed from here
+    artifacts["index.csv"] = _write(out_dir / "index.csv", "\n".join(lines) + "\n")
     elapsed = time.perf_counter() - start
     # One index line per combination, after the header.
     diagnostics = {"wall_time_s": elapsed, "combinations": len(lines) - 1}
-    return _finish(config, out_dir, diagnostics, artifacts, worst)
+    return _finish(config, out_dir, diagnostics, artifacts, phases, worst)
 
 
 def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
+    # Phases: the closed-form solves are "solve_s"; the oracle's tables and
+    # brute forces, and the comparisons, are "check_s".
     params, cost, _ = _model_inputs(config)
     ogrid = build_grid(config.oracle_n)
     stride = (config.oracle_n - 1) // (config.scan_n - 1)
@@ -325,32 +370,27 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
     # release-gate tolerances (2e-4 and 2e-3).
     tol_period1 = 0.4 * ogrid.step
     tol_stackelberg = 4.0 * ogrid.step
-    start = time.perf_counter()
+    phases = _Phases()
     report = {"scan_n": config.scan_n, "oracle_n": config.oracle_n, "checks": {}}
     diagnostics = {}
     ok = True
     if "period2" in config.checks:
-        value_diffs, move_diffs = [], []
+        worst_value = worst_move = 0.0
         tied, tied_ok = 0, True
         for s in (0, 1):
             moves, values = period2_solve(params, cost, scan, s)
-            for p, closed_move, closed_value in zip(scan.tolist(), moves.tolist(), values.tolist()):
-                res = oracle_mod.brute_force_one_step(
-                    lambda q: stage_payoff(s, q, params.H) - evaluate_cost(cost, q - p),
-                    ogrid,
-                )
-                value_diffs.append(abs(res.value - closed_value))
-                if res.maximizers > 1:
-                    tied += 1
-                    # The oracle's lowest-index pick is one maximizer of several: the
-                    # closed-form move must be one too, scored from the primitives.
-                    score = stage_payoff(s, closed_move, params.H) - evaluate_cost(cost, closed_move - p)
-                    tied_ok = tied_ok and closed_move in ogrid.points and bool(score == res.value)
-                else:
-                    move_diffs.append(abs(res.argmax - closed_move))
-        # np.max, unlike max(), keeps a NaN difference, which then fails the check.
-        worst_value = float(np.max(value_diffs, initial=0.0))
-        worst_move = float(np.max(move_diffs, initial=0.0))
+            phases.lap("solve_s")
+            res = oracle_mod.brute_force_period2(params, cost, scan, s, ogrid)
+            # np.max, unlike max(), keeps a NaN difference, which then fails the check.
+            worst_value = float(np.max(np.abs(res.value - values), initial=worst_value))
+            tie = res.maximizers > 1
+            tied += int(np.count_nonzero(tie))
+            # The oracle's lowest-index pick is one maximizer of several: the
+            # closed-form move must be one too, scored from the primitives.
+            score = stage_payoff(s, moves[tie], params.H) - evaluate_cost(cost, moves[tie] - scan[tie])
+            tied_ok = tied_ok and bool(np.all(np.isin(moves[tie], ogrid.points) & (score == res.value[tie])))
+            worst_move = float(np.max(np.abs(res.argmax - moves)[~tie], initial=worst_move))
+            phases.lap("check_s")
         passed = worst_value <= 1e-12 and worst_move <= ogrid.step + 1e-12 and tied_ok
         # Scan points checked by membership, not by max_argmax_diff.
         diagnostics["period2_tied_points"] = tied
@@ -361,17 +401,26 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
             "passed": passed,
         }
         ok = ok and passed
-    if "period1" in config.checks:
+    if "period1" in config.checks or "stackelberg" in config.checks:
+        # One enumeration of the period-2 problem serves both checks.
         tables = oracle_mod.period2_response_tables(params, cost, ogrid)
-        diffs = []
-        pull_ok = True
+        phases.lap("check_s")
+
+    def worst_value_diff(solve, brute_force, oracle_tables):
+        """The largest |closed-form - oracle| value over the scan in both states, and the closed-form solutions."""
+        diffs, sols = [], []
         for s in (0, 1):
-            sol = period1_solve(params, cost, scan, s)
-            res = oracle_mod.brute_force_two_period_single(params, cost, scan, s, ogrid, tables)
-            diffs.append(np.abs(res.value - sol.value).max())
-            pull_ok = pull_ok and bool(np.all(np.abs(sol.p_next - 0.5) <= np.abs(scan - 0.5) + 1e-15))
+            sols.append(solve(params, cost, scan, s))
+            phases.lap("solve_s")
+            res = brute_force(params, cost, scan, s, ogrid, oracle_tables)
+            diffs.append(np.abs(res.value - sols[-1].value).max())
+            phases.lap("check_s")
         # np.max, unlike max(), keeps a NaN difference, which then fails the check.
-        worst_value = float(np.max(diffs))
+        return float(np.max(diffs)), sols
+
+    if "period1" in config.checks:
+        worst_value, sols = worst_value_diff(period1_solve, oracle_mod.brute_force_two_period_single, tables)
+        pull_ok = all(bool(np.all(np.abs(sol.p_next - 0.5) <= np.abs(scan - 0.5) + 1e-15)) for sol in sols)
         passed = worst_value <= tol_period1 and pull_ok
         report["checks"]["period1"] = {
             "max_value_diff": worst_value,
@@ -381,13 +430,9 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
         }
         ok = ok and passed
     if "stackelberg" in config.checks:
-        tables = oracle_mod.rival_response_tables(params, cost, ogrid)
-        diffs = []
-        for s1 in (0, 1):
-            sol = stackelberg_solve(params, cost, scan, s1)
-            res = oracle_mod.brute_force_stackelberg(params, cost, scan, s1, ogrid, tables)
-            diffs.append(np.abs(res.value - sol.value).max())
-        worst_value = float(np.max(diffs))
+        rivals = oracle_mod.rival_response_tables(params, cost, ogrid, tables)
+        phases.lap("check_s")
+        worst_value, _ = worst_value_diff(stackelberg_solve, oracle_mod.brute_force_stackelberg, rivals)
         passed = worst_value <= tol_stackelberg
         report["checks"]["stackelberg"] = {
             "max_value_diff": worst_value,
@@ -395,11 +440,10 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
             "passed": passed,
         }
         ok = ok and passed
-    elapsed = time.perf_counter() - start
     report["passed"] = ok
-    _write_json(out_dir / "oracle_check.json", report)
-    diagnostics["wall_time_s"] = elapsed
-    return _finish(config, out_dir, diagnostics, ["oracle_check.json"], EXIT_OK if ok else EXIT_CHECK_FAILED)
+    diagnostics["wall_time_s"] = phases["solve_s"] + phases["check_s"]
+    artifacts = {"oracle_check.json": _write_json(out_dir / "oracle_check.json", report)}
+    return _finish(config, out_dir, diagnostics, artifacts, phases, EXIT_OK if ok else EXIT_CHECK_FAILED)
 
 
 _RUNNERS = {

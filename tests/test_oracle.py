@@ -209,3 +209,82 @@ def test_brute_force_over_a_scan_holds_no_scan_by_n_array(brute_force):
     finally:
         tracemalloc.stop()
     assert peak < limit
+
+
+def whole_matrix_replies(params, cost, grid):
+    """Each preference's lowest maximizing p2 per p1, from one n x n cost matrix."""
+    pts = grid.points
+    costs = evaluate_cost(cost, pts[:, None] - pts[None, :])  # rows: p2 candidates, cols: p1
+    return [pts[(stage_payoff(s2, pts, params.H)[:, None] - costs).argmax(axis=0)] for s2 in (0, 1)]
+
+
+ORACLE_COSTS = [QUAD10, ps.CostSpec.quadratic(0.0), COSTS[2]]
+
+
+@pytest.mark.parametrize("cost", ORACLE_COSTS, ids=["k10", "k0", "custom"])
+def test_rival_tables_from_shared_period2_tables_equal_their_own_bit_for_bit(cost, monkeypatch):
+    grid = ps.build_grid(401)
+    params = ps.ModelParams(pi=0.7, beta=0.9, H=1.0)
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 7 * 8 * grid.n)  # several blocks of 7, the last one short
+    tables = period2_response_tables(params, cost, grid)
+    replies = whole_matrix_replies(params, cost, grid)
+    assert tables.reply0.tobytes() == replies[0].tobytes()
+    assert tables.reply1.tobytes() == replies[1].tobytes()
+    _, expected = whole_matrix_tables(params, cost, grid)
+    shared = rival_response_tables(params, cost, grid, tables).leader_continuation
+    alone = rival_response_tables(params, cost, grid).leader_continuation
+    other_grid = rival_response_tables(params, cost, grid, period2_response_tables(params, cost, ps.build_grid(201)))
+    assert shared.tobytes() == alone.tobytes() == expected.tobytes() == other_grid.leader_continuation.tobytes()
+
+
+def test_oracle_check_enumerates_the_period2_problem_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return period2_response_tables(*args)
+
+    monkeypatch.setattr(oracle, "period2_response_tables", counted)
+    config = ps.ExperimentConfig(
+        experiment="oracle-check", scan_n=21, oracle_n=201, checks=("period2", "period1", "stackelberg")
+    )
+    result = ps.run_config(config, tmp_path)
+    assert result.exit_code == 0 and len(calls) == 1
+
+
+def per_point_period2(params, cost, scan, s2, grid):
+    """The period2 check's oracle as it was: one brute_force_one_step per scan point."""
+    return [
+        ps.brute_force_one_step(lambda q: stage_payoff(s2, q, params.H) - evaluate_cost(cost, q - p), grid)
+        for p in scan.tolist()
+    ]
+
+
+@pytest.mark.parametrize("cost", ORACLE_COSTS[:2], ids=["k10", "k0"])
+def test_blocked_period2_brute_force_equals_the_per_point_loop(cost, monkeypatch):
+    grid = ps.build_grid(401)
+    scan = np.concatenate([grid.points[::8], [0.123, 0.5, 0.987]])
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 3 * 8 * grid.n)  # several blocks of 3, the last one short
+    for s2 in (0, 1):
+        res = ps.brute_force_period2(PARAMS, cost, scan, s2, grid)
+        got = list(zip(res.argmax.tolist(), res.value.tolist(), res.maximizers.tolist()))
+        want = [(r.argmax, r.value, r.maximizers) for r in per_point_period2(PARAMS, cost, scan, s2, grid)]
+        assert got == want
+        if cost.k == 0.0:
+            assert min(r[2] for r in got) > 1  # at zero cost every scan point ties
+        one = ps.brute_force_period2(PARAMS, cost, 0.123, s2, grid)
+        assert (type(one.argmax), type(one.value), type(one.maximizers)) == (float, float, int)
+        assert (one.argmax, one.value, one.maximizers) == got[-3]
+
+
+def test_blocked_period2_brute_force_holds_no_scan_by_n_array():
+    grid = ps.build_grid(2001)
+    scan = grid.points.copy()
+    limit = 8 * scan.size * grid.n // 2  # half of one scan x n float64 array, 16 MB
+    tracemalloc.start()
+    try:
+        ps.brute_force_period2(PARAMS, QUAD10, scan, 0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit

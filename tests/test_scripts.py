@@ -30,3 +30,18 @@ def test_equilibrium_shapes_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(ps, "solve_infinite", rising)
     assert shapes.main() == 1
     assert "peak at 1/2: False" in capsys.readouterr().out
+
+
+def test_check_digests_finds_a_changed_byte(tmp_path, capsys):
+    check = load_script("check_digests")
+    assert check.main([str(tmp_path)]) == 1  # no manifest at all
+    axes = (("k", (1.0, 10.0)),)
+    config = ps.ExperimentConfig(experiment="sweep", solver="solve-single", grid_n=11, sweep_axes=axes)
+    assert ps.run_config(config, tmp_path).exit_code == 0
+    assert check.main([str(tmp_path)]) == 0
+    # index.csv and the four combination files in the sweep's manifest, two in each combination's
+    assert "9 artifacts re-hashed, 0 differ" in capsys.readouterr().out
+    value = tmp_path / "combo_001" / "value.csv"
+    value.write_bytes(value.read_bytes().replace(b"\n0.0,", b"\n-0.0,", 1))
+    assert check.main([str(tmp_path)]) == 1
+    assert f"{value}: differs from {tmp_path / 'manifest.json'}" in capsys.readouterr().out
