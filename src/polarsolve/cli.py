@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, apply_overrides, load_config
-from .runner import run_config
+from .runner import EXIT_CONFIG, run_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         result = run_config(config, out_dir=args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return EXIT_CONFIG
     print(f"{args.command}: exit {result.exit_code}, artifacts in {result.out_dir}")
     return result.exit_code
 

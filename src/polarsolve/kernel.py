@@ -77,14 +77,10 @@ from .model import CostSpec, ModelParams, evaluate_cost, stage_payoff
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
-    """One candidate move and its objective.
+    """One candidate move and its objective, arrays of the shape of the solver's points."""
 
-    Floats when the solver was called at one point; arrays over the
-    points when it was called with an array of them.
-    """
-
-    candidate: float | np.ndarray
-    objective: float | np.ndarray
+    candidate: np.ndarray
+    objective: np.ndarray
     provenance: str
 
 
@@ -98,22 +94,14 @@ def best_candidate(evaluations, p):
     """Per point, the highest objective; ties go by the module's tie rule, then to the first listed.
 
     evaluations hold arrays over the points p. Returns (candidate,
-    objective, evaluations), as floats when p is one point.
+    objective, evaluations), arrays of p's shape.
     """
     best, top = evaluations[0].candidate, evaluations[0].objective
     for e in evaluations[1:]:
         better = (e.objective > top) | ((e.objective == top) & _wins_tie(e.candidate, best, p))
         best = np.where(better, e.candidate, best)
         top = np.where(better, e.objective, top)
-    listed = tuple(
-        CandidateEvaluation(like(p, e.candidate), like(p, e.objective), e.provenance) for e in evaluations
-    )
-    return like(p, best), like(p, top), listed
-
-
-def like(p, out):
-    """out, an array over the points of p, as a float when p is one point."""
-    return float(out) if np.ndim(p) == 0 else out
+    return best, top, tuple(evaluations)
 
 
 def cost_matrix(cost: CostSpec, grid: Grid) -> np.ndarray:

@@ -39,8 +39,8 @@ class ModelParams:
             raise ValueError(f"pi must lie in (0, 1), got {self.pi}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.H > 0.0:
-            raise ValueError(f"H must be positive, got {self.H}")
+        if not 0.0 < self.H < math.inf:
+            raise ValueError(f"H must be positive and finite, got {self.H}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ class CostSpec:
 
     @staticmethod
     def quadratic(k: float) -> "CostSpec":
-        if k < 0.0:
-            raise ValueError(f"quadratic curvature must be >= 0, got {k}")
         return CostSpec(kind=QUADRATIC, k=float(k))
 
     @staticmethod
@@ -93,6 +91,8 @@ class CostSpec:
     def __post_init__(self) -> None:
         if self.kind not in (QUADRATIC, CUSTOM):
             raise ValueError(f"unknown cost kind {self.kind!r}")
+        if self.kind == QUADRATIC and not 0.0 <= self.k < math.inf:
+            raise ValueError(f"quadratic curvature must be finite and >= 0, got {self.k}")
         if self.kind == CUSTOM and self.table is None:
             raise ValueError("custom cost requires a table")
 

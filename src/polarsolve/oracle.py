@@ -12,8 +12,9 @@ the maximum.
 The period-2 problem is scored once: period2_response_tables keeps each
 preference's max and lowest maximizer per landing point, the single
 elite's continuation reads the max, and the rival's reply reads the
-maximizer of the preference the rival holds. Every scan over a set of
-starting points works in blocks of _BLOCK_BYTES.
+maximizer of the preference the rival holds. The two-period brute
+forces take those tables and scan the grid they were built on. Every
+scan over a set of starting points works in blocks of _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from .model import CostSpec, ModelParams, evaluate_cost, implemented_policy, sta
 
 @dataclass(frozen=True)
 class OracleResult:
-    # Floats for one starting point, arrays over them for an array.
+    # Arrays of the starting points' shape; floats from brute_force_one_step.
     argmax: float | np.ndarray
     value: float | np.ndarray
     # Oracle points attaining the maximum, of which argmax is the lowest
     # (counted by brute_force_one_step and brute_force_period2 only).
-    maximizers: int | None = None
+    maximizers: int | np.ndarray | None = None
 
 
 def brute_force_one_step(objective, oracle_grid: Grid) -> OracleResult:
@@ -97,8 +98,9 @@ def period2_response_tables(params: ModelParams, cost: CostSpec, oracle_grid: Gr
 def _scan(params: ModelParams, cost: CostSpec, p0, s: int, oracle_grid: Grid, later=None, count=False) -> OracleResult:
     """Maximize R(s, q) - c(q - p0) (+ later[q]) over the oracle points q, per p0.
 
-    p0 is one starting point or an array of them; the lowest-index argmax,
-    the max and, if count, the number of maximizers come back in its shape.
+    p0 is an array of starting points (a float is a 0-d array); the
+    lowest-index argmax, the max and, if count, the number of maximizers
+    come back in its shape.
     """
     pts = oracle_grid.points
     starts = np.asarray(p0, dtype=float)
@@ -113,8 +115,6 @@ def _scan(params: ModelParams, cost: CostSpec, p0, s: int, oracle_grid: Grid, la
         value[block] = values.max(axis=1)
         if count:
             ties[block] = np.count_nonzero(values == value[block, None], axis=1)
-    if starts.ndim == 0:
-        return OracleResult(float(pts[idx[0]]), float(value[0]), int(ties[0]) if count else None)
     shape = starts.shape
     return OracleResult(pts[idx].reshape(shape), value.reshape(shape), ties.reshape(shape) if count else None)
 
@@ -125,18 +125,16 @@ def brute_force_period2(params: ModelParams, cost: CostSpec, p, s2: int, oracle_
 
 
 def brute_force_two_period_single(
-    params: ModelParams, cost: CostSpec, p0, s1: int, oracle_grid: Grid, tables: TwoPeriodTables | None = None
+    params: ModelParams, cost: CostSpec, p0, s1: int, tables: TwoPeriodTables
 ) -> OracleResult:
     """Exhaustive two-period solve for the single elite, from one p0 or an array of them.
 
-    Every period-1 landing point on the oracle grid is scored as stage
+    Every period-1 landing point on the tables' grid is scored as stage
     payoff minus cost plus discounted expectation of the (brute-forced)
     period-2 best-response value.
     """
-    if tables is None or tables.grid is not oracle_grid:
-        tables = period2_response_tables(params, cost, oracle_grid)
     continuation = params.pi * tables.best1 + (1.0 - params.pi) * tables.best0
-    return _scan(params, cost, p0, s1, oracle_grid, params.beta * continuation)
+    return _scan(params, cost, p0, s1, tables.grid, params.beta * continuation)
 
 
 @dataclass(frozen=True)
@@ -147,32 +145,29 @@ class RivalResponseTables:
     leader_continuation: np.ndarray  # E_{s2}[leader stage payoff] per landing p1
 
 
-def rival_response_tables(
-    params: ModelParams, cost: CostSpec, oracle_grid: Grid, tables: TwoPeriodTables | None = None
-) -> RivalResponseTables:
-    """The follower's brute-forced period-2 reply for every period-1 position.
+def rival_response_tables(params: ModelParams, tables: TwoPeriodTables) -> RivalResponseTables:
+    """The follower's brute-forced period-2 reply for every period-1 position on the tables' grid.
 
     The follower prefers policy 1 - s2 and, at an exact half split, gets
     to implement it, so it faces exactly the period-2 problem of
     preference 1 - s2: its reply is that problem's lowest maximizer, read
-    from the period-2 tables (built here when none are passed). The
-    leader's continuation averages its own payoff over s2 under those
-    replies. Shares no code with the closed-form follower strategy.
+    from the period-2 tables. The leader's continuation averages its own
+    payoff over s2 under those replies. Shares no code with the
+    closed-form follower strategy.
     """
-    if tables is None or tables.grid is not oracle_grid:
-        tables = period2_response_tables(params, cost, oracle_grid)
-    expected = np.zeros(oracle_grid.n)
+    expected = np.zeros(tables.grid.n)
     for s2, landed in ((0, tables.reply1), (1, tables.reply0)):
         leader_payoff = params.H * (implemented_policy(landed, 1 - s2) == s2)
         prob = params.pi if s2 == 1 else 1.0 - params.pi
         expected = expected + prob * leader_payoff
-    return RivalResponseTables(grid=oracle_grid, leader_continuation=expected)
+    return RivalResponseTables(grid=tables.grid, leader_continuation=expected)
 
 
 def brute_force_stackelberg(
-    params: ModelParams, cost: CostSpec, p0, s1: int, oracle_grid: Grid, tables: RivalResponseTables | None = None
+    params: ModelParams, cost: CostSpec, p0, s1: int, rivals: RivalResponseTables
 ) -> OracleResult:
-    """Exhaustive two-period leader problem against the brute-forced follower, from one p0 or an array."""
-    if tables is None or tables.grid is not oracle_grid:
-        tables = rival_response_tables(params, cost, oracle_grid)
-    return _scan(params, cost, p0, s1, oracle_grid, params.beta * tables.leader_continuation)
+    """Exhaustive two-period leader problem against the brute-forced follower, from one p0 or an array.
+
+    The leader's landing points are the rivals' grid.
+    """
+    return _scan(params, cost, p0, s1, rivals.grid, params.beta * rivals.leader_continuation)

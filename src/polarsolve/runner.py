@@ -412,7 +412,7 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
         for s in (0, 1):
             sols.append(solve(params, cost, scan, s))
             phases.lap("solve_s")
-            res = brute_force(params, cost, scan, s, ogrid, oracle_tables)
+            res = brute_force(params, cost, scan, s, oracle_tables)
             diffs.append(np.abs(res.value - sols[-1].value).max())
             phases.lap("check_s")
         # np.max, unlike max(), keeps a NaN difference, which then fails the check.
@@ -430,7 +430,7 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
         }
         ok = ok and passed
     if "stackelberg" in config.checks:
-        rivals = oracle_mod.rival_response_tables(params, cost, ogrid, tables)
+        rivals = oracle_mod.rival_response_tables(params, tables)
         phases.lap("check_s")
         worst_value, _ = worst_value_diff(stackelberg_solve, oracle_mod.brute_force_stackelberg, rivals)
         passed = worst_value <= tol_stackelberg

@@ -26,7 +26,6 @@ from .kernel import (
     cost_matrix,
     expected_next,
     greedy_step,
-    like,
     move_cost,
     stage_payoffs,
     sup_change,
@@ -67,10 +66,10 @@ class RegionPartition:
 
 @dataclass(frozen=True)
 class Period1Solution:
-    """The first-period choice: floats for one point, arrays over an array of points."""
+    """The first-period choice, arrays of the shape of the points it was asked at."""
 
-    p_next: float | np.ndarray
-    value: float | np.ndarray
+    p_next: np.ndarray
+    value: np.ndarray
     candidates: tuple[CandidateEvaluation, ...]
 
 
@@ -142,7 +141,7 @@ def expected_continuation_2(params: ModelParams, cost: CostSpec, p_next):
     p = np.asarray(p_next, dtype=float)
     inner_left = H - pi * evaluate_cost(cost, 0.5 - p)
     inner_right = H - (1.0 - pi) * evaluate_cost(cost, p - 0.5)
-    continuation = np.where(
+    return np.where(
         p < regions.p0_star,
         H * (1.0 - pi),
         np.where(
@@ -151,15 +150,14 @@ def expected_continuation_2(params: ModelParams, cost: CostSpec, p_next):
             np.where(p <= regions.p1_star, inner_right, H * pi),
         ),
     )
-    return like(p_next, continuation)
 
 
 def period2_solve(params: ModelParams, cost: CostSpec, p, s: int):
     """Last-period optimum (move, value) at a point p or an array of them.
 
     Stay if already winning or too far, else jump to 1/2. Exact
-    indifference at the cutoff resolves to inaction. Floats for one
-    point, arrays for an array; the cutoff is computed once.
+    indifference at the cutoff resolves to inaction. Arrays of p's
+    shape; the cutoff is computed once.
     """
     regions = region_partition(params, cost)
     points = np.asarray(p, dtype=float)
@@ -169,7 +167,7 @@ def period2_solve(params: ModelParams, cost: CostSpec, p, s: int):
         winning, too_far, shift = points <= 0.5, points >= regions.p1_star, points - 0.5
     move = np.where(winning | too_far, points, 0.5)
     value = np.where(winning, params.H, np.where(too_far, 0.0, params.H - evaluate_cost(cost, shift)))
-    return like(p, move), like(p, value)
+    return move, value
 
 
 def golden_section_min(fn, lo: float, hi: float) -> float:
@@ -209,14 +207,14 @@ def _interior_minimizer(cost, p, weight, lo, hi) -> np.ndarray:
 def interior_minimizer_B(params: ModelParams, cost: CostSpec, p):
     """Cheapest compromise point in [p0*, 1/2]: today's move vs tomorrow's flip."""
     regions = region_partition(params, cost)
-    return like(p, _interior_minimizer(cost, p, params.beta * params.pi, max(regions.p0_star, 0.0), 0.5))
+    return _interior_minimizer(cost, p, params.beta * params.pi, max(regions.p0_star, 0.0), 0.5)
 
 
 def interior_minimizer_C(params: ModelParams, cost: CostSpec, p):
     """Mirror of interior_minimizer_B on [1/2, p1*] with weight beta*(1-pi)."""
     regions = region_partition(params, cost)
     weight = params.beta * (1.0 - params.pi)
-    return like(p, _interior_minimizer(cost, p, weight, 0.5, min(regions.p1_star, 1.0)))
+    return _interior_minimizer(cost, p, weight, 0.5, min(regions.p1_star, 1.0))
 
 
 def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solution:

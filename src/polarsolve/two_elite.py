@@ -59,7 +59,6 @@ from .kernel import (
     cost_matrix,
     expected_next,
     greedy_step,
-    like,
     move_cost,
     stage_payoffs,
     sup_change,
@@ -103,22 +102,21 @@ def phi_continuation(params: ModelParams, cost: CostSpec, p0):
     """
     delta = delta_threshold(cost, params.H)
     p = np.asarray(p0, dtype=float)
-    phi = np.where(
+    return np.where(
         p <= 0.5 - delta,
         (1.0 - params.pi) * params.H,
         np.where(p >= 0.5 + delta, params.pi * params.H, 0.0),
     )
-    return like(p0, phi)
 
 
 @dataclass(frozen=True)
 class StackelbergSolution:
-    """The leader's choice: floats for one point, arrays over an array of points."""
+    """The leader's choice, arrays of the shape of the points it was asked at."""
 
-    chosen: float | np.ndarray
-    value: float | np.ndarray
+    chosen: np.ndarray
+    value: np.ndarray
     candidates: tuple[CandidateEvaluation, ...]
-    phi_at_p0: float | np.ndarray
+    phi_at_p0: np.ndarray
 
 
 def stackelberg_solve(params: ModelParams, cost: CostSpec, p0, s1: int) -> StackelbergSolution:

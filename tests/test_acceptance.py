@@ -79,7 +79,7 @@ def test_criterion_2_period1_candidates_and_pull():
             for p in SCAN_GRID.points:
                 p = float(p)
                 sol = ps.period1_solve(params, cost, p, s)
-                res = ps.brute_force_two_period_single(params, cost, p, s, ORACLE_GRID, tables)
+                res = ps.brute_force_two_period_single(params, cost, p, s, tables)
                 worst_value = max(worst_value, abs(res.value - sol.value))
                 pull_ok = pull_ok and abs(sol.p_next - 0.5) <= abs(p - 0.5) + 1e-15
     elapsed = time.perf_counter() - start
@@ -179,12 +179,12 @@ def test_criterion_6_stackelberg_exactness():
     for pi in (0.3, 0.5, 0.7):
         params = ps.ModelParams(pi=pi, beta=0.9, H=1.0)
         cost = ps.CostSpec.quadratic(10.0)
-        tables = rival_response_tables(params, cost, ORACLE_GRID)
+        tables = rival_response_tables(params, period2_response_tables(params, cost, ORACLE_GRID))
         for s1 in (0, 1):
             for p0 in SCAN_GRID.points:
                 p0 = float(p0)
                 sol = ps.stackelberg_solve(params, cost, p0, s1)
-                res = ps.brute_force_stackelberg(params, cost, p0, s1, ORACLE_GRID, tables)
+                res = ps.brute_force_stackelberg(params, cost, p0, s1, tables)
                 worst_value = max(worst_value, abs(res.value - sol.value))
     params = ps.ModelParams(pi=0.5, beta=0.9, H=1.0)
     anchor = ps.stackelberg_solve(params, ps.CostSpec.quadratic(10.0), 0.35, 0)

@@ -27,6 +27,16 @@ def test_params_validation():
         ModelParams(pi=0.5, beta=0.9, H=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_curvature_and_stakes_are_rejected(bad):
+    with pytest.raises(ValueError, match="curvature"):
+        CostSpec.quadratic(bad)
+    with pytest.raises(ValueError, match="curvature"):
+        CostSpec(kind="quadratic", k=bad)
+    with pytest.raises(ValueError, match="H must"):
+        ModelParams(pi=0.5, beta=0.9, H=bad)
+
+
 def test_quadratic_cost_examples():
     assert evaluate_cost(QUAD10, 0.0) == 0.0
     assert evaluate_cost(QUAD10, 0.1) == pytest.approx(0.1, abs=1e-15)

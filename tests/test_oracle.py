@@ -37,15 +37,15 @@ def test_one_step_constant_ties_to_lowest_index():
 
 
 def test_two_period_oracle_worked_example():
-    grid = ps.build_grid(2001)
-    res = ps.brute_force_two_period_single(PARAMS, QUAD10, 0.3, 0, grid)
+    tables = period2_response_tables(PARAMS, QUAD10, ps.build_grid(2001))
+    res = ps.brute_force_two_period_single(PARAMS, QUAD10, 0.3, 0, tables)
     assert abs(res.value - 1.7758620689655173) <= 2e-4
     assert abs(res.argmax - 0.525 / 1.45) <= 0.001
 
 
 def test_two_period_oracle_median_start():
-    grid = ps.build_grid(2001)
-    res = ps.brute_force_two_period_single(PARAMS, QUAD10, 0.5, 1, grid)
+    tables = period2_response_tables(PARAMS, QUAD10, ps.build_grid(2001))
+    res = ps.brute_force_two_period_single(PARAMS, QUAD10, 0.5, 1, tables)
     assert res.value == pytest.approx(1.9, abs=1e-12)
     assert res.argmax == 0.5
 
@@ -53,8 +53,9 @@ def test_two_period_oracle_median_start():
 def test_two_period_oracle_prohibitive_cost():
     grid = ps.build_grid(2001)
     cost = ps.CostSpec.quadratic(1e8)
+    tables = period2_response_tables(PARAMS, cost, grid)
     for p0, s1 in ((0.25, 1), (0.7, 0)):
-        res = ps.brute_force_two_period_single(PARAMS, cost, p0, s1, grid)
+        res = ps.brute_force_two_period_single(PARAMS, cost, p0, s1, tables)
         stay = float(
             stage_payoff(s1, p0, 1.0)
             + 0.9 * (0.5 * stage_payoff(1, p0, 1.0) + 0.5 * stage_payoff(0, p0, 1.0))
@@ -64,36 +65,26 @@ def test_two_period_oracle_prohibitive_cost():
 
 
 def test_stackelberg_oracle_worked_example():
-    grid = ps.build_grid(2001)
-    res = ps.brute_force_stackelberg(PARAMS, QUAD10, 0.35, 0, grid)
+    rivals = rival_response_tables(PARAMS, period2_response_tables(PARAMS, QUAD10, ps.build_grid(2001)))
+    res = ps.brute_force_stackelberg(PARAMS, QUAD10, 0.35, 0, rivals)
     assert abs(res.value - 1.1736832980505139) <= 2e-3
     assert abs(res.argmax - (0.5 - np.sqrt(0.1))) <= 0.001
 
 
 def test_stackelberg_oracle_protected_inaction():
     grid = ps.build_grid(2001)
-    res = ps.brute_force_stackelberg(PARAMS, QUAD10, 0.9, 1, grid)
+    rivals = rival_response_tables(PARAMS, period2_response_tables(PARAMS, QUAD10, grid))
+    res = ps.brute_force_stackelberg(PARAMS, QUAD10, 0.9, 1, rivals)
     assert res.value == pytest.approx(1.45, abs=1e-9)
     assert abs(res.argmax - 0.9) <= grid.step
 
 
 def test_stackelberg_oracle_prohibitive_cost():
     grid = ps.build_grid(2001)
-    res = ps.brute_force_stackelberg(PARAMS, ps.CostSpec.quadratic(1e6), 0.37, 0, grid)
+    cost = ps.CostSpec.quadratic(1e6)
+    rivals = rival_response_tables(PARAMS, period2_response_tables(PARAMS, cost, grid))
+    res = ps.brute_force_stackelberg(PARAMS, cost, 0.37, 0, rivals)
     assert abs(res.argmax - 0.37) <= grid.step
-
-
-def test_precomputed_tables_match_direct_calls():
-    grid = ps.build_grid(1001)
-    tables = period2_response_tables(PARAMS, QUAD10, grid)
-    rivals = rival_response_tables(PARAMS, QUAD10, grid)
-    for p0, s in ((0.2, 1), (0.55, 0)):
-        with_tables = ps.brute_force_two_period_single(PARAMS, QUAD10, p0, s, grid, tables)
-        without = ps.brute_force_two_period_single(PARAMS, QUAD10, p0, s, grid)
-        assert with_tables == without
-        with_tables = ps.brute_force_stackelberg(PARAMS, QUAD10, p0, s, grid, rivals)
-        without = ps.brute_force_stackelberg(PARAMS, QUAD10, p0, s, grid)
-        assert with_tables == without
 
 
 def test_doubling_resolution_tightens_argmax_bound():
@@ -101,10 +92,11 @@ def test_doubling_resolution_tightens_argmax_bound():
     # resolution halves the guarantee; check the bound at several starts
     for n in (1001, 2001, 4001):
         grid = ps.build_grid(n)
+        tables = period2_response_tables(PARAMS, QUAD10, grid)
         for p0 in (0.17, 0.3, 0.41):
             target = ps.interior_minimizer_B(PARAMS, QUAD10, p0)
             closed = ps.period1_solve(PARAMS, QUAD10, p0, 0)
-            res = ps.brute_force_two_period_single(PARAMS, QUAD10, p0, 0, grid)
+            res = ps.brute_force_two_period_single(PARAMS, QUAD10, p0, 0, tables)
             assert res.argmax == target or abs(res.argmax - target) <= grid.step + 1e-12
             # value gap bounded by the local cost slope times the step
             slope = 2.0 * 10.0 * 1.7  # crude bound on |d objective/dq|
@@ -119,7 +111,7 @@ def test_oracle_value_never_exceeds_closed_form():
         for p in np.linspace(0.0, 1.0, 41):
             p = float(p)
             closed = ps.period1_solve(PARAMS, QUAD10, p, s).value
-            res = ps.brute_force_two_period_single(PARAMS, QUAD10, p, s, grid, tables)
+            res = ps.brute_force_two_period_single(PARAMS, QUAD10, p, s, tables)
             assert res.value <= closed + 1e-12
 
 
@@ -148,7 +140,7 @@ def test_blocked_tables_equal_whole_matrix_bit_for_bit(cost):
     tables = period2_response_tables(params, cost, grid)
     assert tables.best0.tobytes() == best[0].tobytes()
     assert tables.best1.tobytes() == best[1].tobytes()
-    assert rival_response_tables(params, cost, grid).leader_continuation.tobytes() == expected.tobytes()
+    assert rival_response_tables(params, tables).leader_continuation.tobytes() == expected.tobytes()
 
 
 def per_point_brute_force(params, cost, p0, s1, grid, continuation):
@@ -164,24 +156,26 @@ def per_point_brute_force(params, cost, p0, s1, grid, continuation):
 def test_brute_force_over_a_scan_equals_the_per_point_loop(leader, cost, monkeypatch):
     grid = ps.build_grid(401)
     params = ps.ModelParams(pi=0.7, beta=0.9, H=1.0)
+    tables = period2_response_tables(params, cost, grid)
     if leader:
-        tables = rival_response_tables(params, cost, grid)
+        tables = rival_response_tables(params, tables)
         continuation = tables.leader_continuation
         brute_force = ps.brute_force_stackelberg
     else:
-        tables = period2_response_tables(params, cost, grid)
         continuation = params.pi * tables.best1 + (1.0 - params.pi) * tables.best0
         brute_force = ps.brute_force_two_period_single
     scan = np.concatenate([grid.points[::8], [0.123, 0.5, 0.987]]).reshape(2, -1)
     monkeypatch.setattr(oracle, "_BLOCK_BYTES", 3 * 8 * grid.n)  # several blocks of 3, the last one short
     for s1 in (0, 1):
-        res = brute_force(params, cost, scan, s1, grid, tables)
+        res = brute_force(params, cost, scan, s1, tables)
         assert res.argmax.shape == res.value.shape == scan.shape
         got = list(zip(res.argmax.ravel().tolist(), res.value.ravel().tolist()))
         assert got == [per_point_brute_force(params, cost, p0, s1, grid, continuation) for p0 in scan.ravel()]
-        one = brute_force(params, cost, 0.123, s1, grid, tables)
-        assert type(one.argmax) is type(one.value) is float
-        assert (one.argmax, one.value) == got[-3]
+        # A float in is a 0-d array: 0-d arrays out, bit-equal to its entry in the array call.
+        one = brute_force(params, cost, float(scan[0, 0]), s1, tables)
+        assert isinstance(one.argmax, np.ndarray) and isinstance(one.value, np.ndarray)
+        assert one.argmax.shape == one.value.shape == ()
+        assert (one.argmax.tobytes(), one.value.tobytes()) == (res.argmax[0, 0].tobytes(), res.value[0, 0].tobytes())
 
 
 def test_response_tables_hold_no_n_by_n_array():
@@ -189,8 +183,7 @@ def test_response_tables_hold_no_n_by_n_array():
     limit = 8 * grid.n * grid.n // 2  # half of one n x n float64 array, 16 MB
     tracemalloc.start()
     try:
-        period2_response_tables(PARAMS, QUAD10, grid)
-        rival_response_tables(PARAMS, QUAD10, grid)
+        rival_response_tables(PARAMS, period2_response_tables(PARAMS, QUAD10, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -204,7 +197,10 @@ def test_brute_force_over_a_scan_holds_no_scan_by_n_array(brute_force):
     limit = 8 * scan.size * grid.n // 2  # half of one scan x n float64 array, 16 MB
     tracemalloc.start()
     try:
-        brute_force(PARAMS, QUAD10, scan, 0, grid)
+        tables = period2_response_tables(PARAMS, QUAD10, grid)
+        if brute_force is ps.brute_force_stackelberg:
+            tables = rival_response_tables(PARAMS, tables)
+        brute_force(PARAMS, QUAD10, scan, 0, tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,10 +227,28 @@ def test_rival_tables_from_shared_period2_tables_equal_their_own_bit_for_bit(cos
     assert tables.reply0.tobytes() == replies[0].tobytes()
     assert tables.reply1.tobytes() == replies[1].tobytes()
     _, expected = whole_matrix_tables(params, cost, grid)
-    shared = rival_response_tables(params, cost, grid, tables).leader_continuation
-    alone = rival_response_tables(params, cost, grid).leader_continuation
-    other_grid = rival_response_tables(params, cost, grid, period2_response_tables(params, cost, ps.build_grid(201)))
-    assert shared.tobytes() == alone.tobytes() == expected.tobytes() == other_grid.leader_continuation.tobytes()
+    assert rival_response_tables(params, tables).leader_continuation.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("leader", [False, True], ids=["single", "stackelberg"])
+def test_brute_forces_scan_the_grid_of_the_tables_they_are_given(leader):
+    grid, cost = ps.build_grid(201), QUAD10
+    params = ps.ModelParams(pi=0.7, beta=0.9, H=1.0)
+    tables = period2_response_tables(params, cost, grid)
+    best, expected = whole_matrix_tables(params, cost, grid)
+    if leader:
+        tables, continuation, brute_force = rival_response_tables(params, tables), expected, ps.brute_force_stackelberg
+    else:
+        continuation = params.pi * best[1] + (1.0 - params.pi) * best[0]
+        brute_force = ps.brute_force_two_period_single
+    scan = np.concatenate([np.linspace(0.0, 1.0, 37), [0.123, 0.4987, 0.987]])  # mostly off the grid
+    pts = grid.points
+    for s1 in (0, 1):
+        res = brute_force(params, cost, scan, s1, tables)
+        values = stage_payoff(s1, pts, params.H) - evaluate_cost(cost, pts[None, :] - scan[:, None])
+        values = values + params.beta * continuation
+        assert res.argmax.tobytes() == pts[values.argmax(axis=1)].tobytes()
+        assert res.value.tobytes() == values.max(axis=1).tobytes()
 
 
 def test_oracle_check_enumerates_the_period2_problem_once(tmp_path, monkeypatch):
@@ -272,9 +286,11 @@ def test_blocked_period2_brute_force_equals_the_per_point_loop(cost, monkeypatch
         assert got == want
         if cost.k == 0.0:
             assert min(r[2] for r in got) > 1  # at zero cost every scan point ties
-        one = ps.brute_force_period2(PARAMS, cost, 0.123, s2, grid)
-        assert (type(one.argmax), type(one.value), type(one.maximizers)) == (float, float, int)
-        assert (one.argmax, one.value, one.maximizers) == got[-3]
+        # A float in is a 0-d array: 0-d arrays out, bit-equal to its entry in the array call.
+        one = ps.brute_force_period2(PARAMS, cost, float(scan[0]), s2, grid)
+        assert all(isinstance(x, np.ndarray) and x.shape == () for x in (one.argmax, one.value, one.maximizers))
+        got_one = (one.argmax.tobytes(), one.value.tobytes(), one.maximizers.tobytes())
+        assert got_one == (res.argmax[0].tobytes(), res.value[0].tobytes(), res.maximizers[0].tobytes())
 
 
 def test_blocked_period2_brute_force_holds_no_scan_by_n_array():

@@ -139,7 +139,7 @@ def test_period1_matches_two_period_oracle():
         for p in np.linspace(0.0, 1.0, 21):
             p = float(p)
             sol = ps.period1_solve(PARAMS, QUAD10, p, s)
-            res = ps.brute_force_two_period_single(PARAMS, QUAD10, p, s, oracle_grid, tables)
+            res = ps.brute_force_two_period_single(PARAMS, QUAD10, p, s, tables)
             assert abs(res.value - sol.value) <= 2e-4
 
 

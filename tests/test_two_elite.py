@@ -108,12 +108,13 @@ def test_stackelberg_infeasible_semi_locks_dropped():
 
 def test_stackelberg_matches_oracle_scan():
     oracle_grid = ps.build_grid(2001)
-    tables = ps.oracle.rival_response_tables(PARAMS, QUAD10, oracle_grid)
+    tables = ps.oracle.period2_response_tables(PARAMS, QUAD10, oracle_grid)
+    tables = ps.oracle.rival_response_tables(PARAMS, tables)
     for s1 in (0, 1):
         for p0 in np.linspace(0.0, 1.0, 21):
             p0 = float(p0)
             sol = ps.stackelberg_solve(PARAMS, QUAD10, p0, s1)
-            res = ps.brute_force_stackelberg(PARAMS, QUAD10, p0, s1, oracle_grid, tables)
+            res = ps.brute_force_stackelberg(PARAMS, QUAD10, p0, s1, tables)
             assert abs(res.value - sol.value) <= 2e-3
 
 

@@ -49,13 +49,28 @@ def assert_matches_reference(params, cost, points):
             assert bits(leader.chosen[i]) == bits(want.chosen)
             assert bits(leader.value[i]) == bits(want.value)
             assert bits(leader.phi_at_p0[i]) == bits(want.phi_at_p0)
-        # one point in, floats out: the tests and scripts call the solvers this way
-        one = ps.period1_solve(params, cost, float(points[0]), s)
-        assert type(one.p_next) is float and type(one.candidates[0].objective) is float
-        assert bits(one.value) == bits(p1.value[0])
-        move, value = ps.period2_solve(params, cost, float(points[0]), s)
-        assert type(move) is float and type(value) is float
-        assert (bits(move), bits(value)) == (bits(moves[0]), bits(values[0]))
+        # A float in is a 0-d array: 0-d arrays out, bit-equal to entry 0 of the array call.
+        p = float(points[0])
+        one = ps.period1_solve(params, cost, p, s)
+        assert_zero_d_entry([one.p_next, one.value], [p1.p_next, p1.value])
+        assert_same_zero_d_candidates(one.candidates, p1.candidates)
+        assert_zero_d_entry(ps.period2_solve(params, cost, p, s), [moves, values])
+        one = ps.stackelberg_solve(params, cost, p, s)
+        assert_zero_d_entry([one.chosen, one.value, one.phi_at_p0], [leader.chosen, leader.value, leader.phi_at_p0])
+        assert_same_zero_d_candidates(one.candidates, leader.candidates)
+
+
+def assert_zero_d_entry(got, arrays):
+    """Each of got is a 0-d array bit-equal to entry 0 of the matching array."""
+    for g, a in zip(got, arrays, strict=True):
+        assert isinstance(g, np.ndarray) and g.shape == ()
+        assert bits(g) == bits(a[0])
+
+
+def assert_same_zero_d_candidates(got, arrays):
+    """got's candidates and objectives are 0-d and bit-equal to entry 0 of arrays'."""
+    assert all(np.shape(c.candidate) == np.shape(c.objective) == () for c in got)
+    assert_same_candidates(arrays, got, 0)
 
 
 COST_K = st.one_of(
