@@ -5,9 +5,18 @@ The format is line-oriented text: one ``key = value`` pair per line,
 ``sweep.<param> = v1, v2, ...`` form. The same grammar is used for
 ``--override key=value`` flags, which are applied after the file.
 
-Validation failures raise ConfigError carrying the offending field and,
-when it came from a file, the line number; the CLI turns these into exit
-code 2 with a one-line diagnostic.
+ExperimentConfig is the one schema. Each key is parsed by the type its
+field declares (a sweep axis by the type of the field it sweeps). A rule
+that a field's value must meet on its own, such as the known experiment
+names or ``cost`` being ``quadratic``, is defined once in FIELD_RULES:
+the parser checks it as the key is read, and validate checks it again,
+so a config built in code meets the same rules as a file. Range and
+cross-field rules are checked by validate alone, so an override can
+still fix a value the file set.
+
+Failures raise ConfigError naming the offending field; a value the
+parser rejects also names its line in the file. The CLI turns these
+into exit code 2 with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -15,17 +24,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import types
+import typing
 from dataclasses import asdict, dataclass, replace
 
-EXPERIMENTS = (
-    "solve-single2p",
-    "solve-single",
-    "solve-stackelberg",
-    "solve-mpe",
-    "sweep",
-    "oracle-check",
-)
 SOLVER_EXPERIMENTS = ("solve-single2p", "solve-single", "solve-stackelberg", "solve-mpe")
+EXPERIMENTS = SOLVER_EXPERIMENTS + ("sweep", "oracle-check")
 SWEEP_PARAMS = ("k", "pi", "beta", "H", "grid_n", "horizon")
 ORACLE_CHECKS = ("period2", "period1", "stackelberg")
 
@@ -74,68 +78,100 @@ class ExperimentConfig:
         return DEFAULT_GRID_N_MPE if self.experiment == "solve-mpe" else DEFAULT_GRID_N
 
 
-def _parse_float(name, raw, line):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(name, f"expected a number, got {raw!r}", line) from None
+def _number(kind, expected):
+    """The parser of a number of type kind."""
+
+    def parse(name, raw, line):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(name, f"expected {expected}, got {raw!r}", line) from None
+
+    return parse
 
 
-def _parse_int(name, raw, line):
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(name, f"expected an integer, got {raw!r}", line) from None
-    return value
+def _split(name, raw, line):
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-def _parse_list(name, raw, line, caster):
-    items = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not items:
-        raise ConfigError(name, "expected a non-empty comma-separated list", line)
-    return tuple(caster(name, tok, line) for tok in items)
+# A parser for each type a field declares: parse(key, raw, line) -> value.
+_PARSERS = {float: _number(float, "a number"), int: _number(int, "an integer"),
+            str: lambda name, raw, line: raw, tuple[str, ...]: _split}
+# Each field's declared type; an optional field, T | None, is parsed as T.
+# A field whose type has no parser (sweep_axes) is set only through sweep.<param> keys.
+_FIELD_TYPES = {
+    name: typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind
+    for name, kind in typing.get_type_hints(ExperimentConfig).items()
+}
+
+
+def _one_of(choices):
+    return lambda value: None if value in choices else f"must be one of {choices}, got {value!r}"
+
+
+def _distinct_members(choices, what):
+    """The rule that each of a list of names is one of choices, and none is listed twice."""
+
+    def rule(names):
+        for name in names:
+            if name not in choices:
+                return f"{what} must be among {choices}, got {name!r}"
+            if names.count(name) > 1:
+                return f"{name!r} is listed more than once"
+        return None
+
+    return rule
+
+
+_axis_names_rule = _distinct_members(SWEEP_PARAMS, "sweep axes")
+
+
+# The rules a field's value must meet on its own: each returns what is
+# wrong with a value, or None. A solver of "" is none, as in every
+# experiment but a sweep.
+FIELD_RULES = {
+    "experiment": _one_of(EXPERIMENTS),
+    "solver": lambda value: _one_of(SOLVER_EXPERIMENTS)(value) if value else None,
+    "cost": _one_of(("quadratic",)),
+    "checks": _distinct_members(ORACLE_CHECKS, "checks"),
+    "output_dir": lambda value: None if value else "must be a non-empty path",
+    "sweep_axes": lambda axes: _axis_names_rule([name for name, _ in axes]),
+}
+
+
+def check_field(field_name: str, value, key: str | None = None, line: int | None = None) -> None:
+    """Raise ConfigError if value breaks the rule of field_name, if it has one.
+
+    The error names key (by default the field) and the line it was read from.
+    """
+    message = FIELD_RULES.get(field_name, lambda value: None)(value)
+    if message is not None:
+        raise ConfigError(key or field_name, message, line)
 
 
 def apply_assignment(config: ExperimentConfig, key: str, raw: str, line: int | None = None) -> ExperimentConfig:
-    """Apply one key = value pair, returning an updated config."""
+    """Apply one key = value pair, returning an updated config.
+
+    The value is parsed by the type its field declares and checked
+    against the field's rule.
+    """
     raw = raw.strip()
     if key.startswith("sweep."):
         param = key[len("sweep.") :]
-        if param not in SWEEP_PARAMS:
-            raise ConfigError(key, f"sweep axis must be one of {SWEEP_PARAMS}", line)
-        caster = _parse_int if param in ("grid_n", "horizon") else _parse_float
-        values = _parse_list(key, raw, line, caster)
+        # The axis name is checked before its values are parsed as its field's type.
+        check_field("sweep_axes", ((param, ()),), key, line)
+        parse = _PARSERS[_FIELD_TYPES[param]]
+        values = tuple(parse(key, tok, line) for tok in _split(key, raw, line))
+        if not values:
+            raise ConfigError(key, "expected a non-empty comma-separated list", line)
         axes = tuple(a for a in config.sweep_axes if a[0] != param) + ((param, values),)
         return replace(config, sweep_axes=axes)
-    if key == "experiment":
-        if raw not in EXPERIMENTS:
-            raise ConfigError(key, f"must be one of {EXPERIMENTS}, got {raw!r}", line)
-        return replace(config, experiment=raw)
-    if key == "solver":
-        if raw not in SOLVER_EXPERIMENTS:
-            raise ConfigError(key, f"must be one of {SOLVER_EXPERIMENTS}, got {raw!r}", line)
-        return replace(config, solver=raw)
-    if key == "cost":
-        if raw != "quadratic":
-            raise ConfigError(key, f"config files support the quadratic cost kind, got {raw!r}", line)
-        return replace(config, cost=raw)
-    if key == "checks":
-        items = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-        for item in items:
-            if item not in ORACLE_CHECKS:
-                raise ConfigError(key, f"checks must be among {ORACLE_CHECKS}, got {item!r}", line)
-            if items.count(item) > 1:
-                raise ConfigError(key, f"check {item!r} is listed more than once", line)
-        return replace(config, checks=items)
-    if key == "output_dir":
-        if not raw:
-            raise ConfigError(key, "must be a non-empty path", line)
-        return replace(config, output_dir=raw)
-    if key in ("pi", "beta", "H", "k", "tol"):
-        return replace(config, **{key: _parse_float(key, raw, line)})
-    if key in ("grid_n", "horizon", "max_iter", "sweep_cap", "scan_n", "oracle_n"):
-        return replace(config, **{key: _parse_int(key, raw, line)})
-    raise ConfigError(key, "unknown configuration key", line)
+    parse = _PARSERS.get(_FIELD_TYPES.get(key))
+    if parse is None:
+        raise ConfigError(key, "unknown configuration key", line)
+    value = parse(key, raw, line)
+    check_field(key, value, key, line)
+    return replace(config, **{key: value})
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -210,16 +246,16 @@ def sweep_combinations(config: ExperimentConfig):
 
 
 def validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Range-check every field against its target type's invariants.
+    """Check every field against its rule (FIELD_RULES) and its range, and the fields against each other.
 
     A sweep is checked as a whole and then, combination by combination,
     as its solver's own config, so a bad combination fails before any
     combination writes artifacts. Only a sweep may name a solver or axes.
     """
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {config.experiment!r}")
-    for name in ("pi", "beta", "H", "k", "tol"):
-        if not math.isfinite(getattr(config, name)):
+    for name in FIELD_RULES:
+        check_field(name, getattr(config, name))
+    for name, kind in _FIELD_TYPES.items():
+        if kind is float and not math.isfinite(getattr(config, name)):
             raise ConfigError(name, f"must be finite, got {getattr(config, name)}")
     if not 0.0 < config.pi < 1.0:
         raise ConfigError("pi", f"must lie in (0, 1), got {config.pi}")
@@ -247,7 +283,7 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     if config.sweep_cap < 1:
         raise ConfigError("sweep_cap", f"must be at least 1, got {config.sweep_cap}")
     if config.experiment == "sweep":
-        if config.solver not in SOLVER_EXPERIMENTS:
+        if not config.solver:
             raise ConfigError("solver", "sweep configs must name a solver experiment")
         if not config.sweep_axes:
             raise ConfigError("sweep_axes", "sweep configs need at least one sweep.<param> axis")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import oracle as oracle_mod
-from .config import ExperimentConfig, config_as_dict, sweep_combinations, validate
+from .config import ExperimentConfig, check_field, config_as_dict, sweep_combinations, validate
 from .grids import build_grid
 from .model import CostSpec, ModelParams, evaluate_cost, stage_payoff
 from .single_elite import (
@@ -179,15 +179,13 @@ def _emit_tables(policy, value, out_dir: Path) -> dict:
     }
 
 
-def _model_inputs(config: ExperimentConfig):
-    params = ModelParams(pi=config.pi, beta=config.beta, H=config.H)
-    cost = CostSpec.quadratic(config.k)
-    grid = build_grid(config.resolved_grid_n())
-    return params, cost, grid
+def _model(config: ExperimentConfig):
+    return ModelParams(pi=config.pi, beta=config.beta, H=config.H), CostSpec.quadratic(config.k)
 
 
 def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    params, cost, grid = _model_inputs(config)
+    params, cost = _model(config)
+    grid = build_grid(config.resolved_grid_n())
     phases = _Phases()
     sol = solve_infinite(params, cost, grid, max_iter=config.max_iter)
     elapsed = phases.lap("solve_s")
@@ -287,7 +285,8 @@ def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, columns) -> 
     candidates.json records, whose "chosen" and "value" fill the policy
     and value tables.
     """
-    params, cost, grid = _model_inputs(config)
+    params, cost = _model(config)
+    grid = build_grid(config.resolved_grid_n())
     phases = _Phases()
     states = [columns(grid.points, s, solve(params, cost, grid.points, s)) for s in (0, 1)]
     elapsed = phases.lap("solve_s")
@@ -313,7 +312,8 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
     # below tol) and an exact cycle of any period are recorded as diagnostics;
     # the best-response dynamics genuinely cycle for many cost levels, which is
     # a property of the game, not a solver failure.
-    params, cost, grid = _model_inputs(config)
+    params, cost = _model(config)
+    grid = build_grid(config.resolved_grid_n())
     phases = _Phases()
     sol = mpe_solve(params, cost, grid, horizon=config.horizon, residual_tol=config.tol)
     elapsed = phases.lap("solve_s")
@@ -361,7 +361,8 @@ def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:
 def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
     # Phases: the closed-form solves are "solve_s"; the oracle's tables and
     # brute forces, and the comparisons, are "check_s".
-    params, cost, _ = _model_inputs(config)
+    # The check reads the oracle grid alone, not the solver grid of grid_n points.
+    params, cost = _model(config)
     ogrid = build_grid(config.oracle_n)
     stride = (config.oracle_n - 1) // (config.scan_n - 1)
     scan = ogrid.points[::stride]
@@ -459,6 +460,8 @@ _RUNNERS = {
 def run_config(config: ExperimentConfig, out_dir=None) -> RunResult:
     """Validate and execute a config, writing artifacts under out_dir."""
     config = validate(config)
-    target = Path(out_dir) if out_dir is not None else Path(config.output_dir)
+    target = config.output_dir if out_dir is None else out_dir
+    check_field("output_dir", target)  # "" would write into the working directory
+    target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[config.experiment](config, target)

@@ -338,6 +338,21 @@ def test_oracle_check_fails_on_a_nan_value(tmp_path, monkeypatch, check, solver)
     assert math.isnan(report["max_value_diff"]) and report["passed"] is False
 
 
+def test_oracle_check_builds_only_the_oracle_grid(tmp_path, monkeypatch):
+    built = []
+
+    def spy(n):
+        built.append(n)
+        return ps.build_grid(n)
+
+    monkeypatch.setattr(runner, "build_grid", spy)
+    config = ExperimentConfig(experiment="oracle-check", grid_n=200001, scan_n=21, oracle_n=401)
+    assert run_config(config, tmp_path).exit_code == 0
+    assert built == [401]
+    # the manifest still echoes the config's grid size
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["grid_n"] == 200001
+
+
 def test_cli_roundtrip(tmp_path, capsys):
     preset = Path(__file__).resolve().parent.parent / "presets" / "single_elite_baseline.cfg"
     code = main(
@@ -468,23 +483,40 @@ CONFIG_ERRORS = [
     (["oracle-check", "--override", "scan_n=1"], "field 'scan_n': must be at least 2"),
     (["oracle-check", "--override", "oracle_n=4"], "field 'oracle_n': must be odd and at least 3"),
     (["oracle-check", "--override", "checks="], "field 'checks': must list at least one check"),
+    (["solve-single", "--out", ""], "field 'output_dir': must be a non-empty path"),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", CONFIG_ERRORS, ids=[argv[-1] for argv, _ in CONFIG_ERRORS])
-def test_cli_config_check_exits_2_naming_the_field(tmp_path, capsys, argv, expected):
-    out = tmp_path / "out"
-    assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+@pytest.mark.parametrize("argv, expected", CONFIG_ERRORS, ids=[argv[-1] or "empty --out" for argv, _ in CONFIG_ERRORS])
+def test_cli_config_check_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, argv, expected):
+    # run from an empty directory, so a run that writes into the working directory shows
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[:1] + ["--out", "out"] + argv[1:]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert expected in err[0]
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_run_config_rejects_an_unknown_experiment(tmp_path):
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (ExperimentConfig(experiment="nope"), "experiment"),
+        (ExperimentConfig(experiment="oracle-check", checks=("period2", "bogus")), "checks"),
+        (ExperimentConfig(experiment="oracle-check", checks=("period2", "period2")), "checks"),
+        (ExperimentConfig(experiment="solve-single", cost="custom"), "cost"),
+        (ExperimentConfig(experiment="solve-single", output_dir=""), "output_dir"),
+        (ExperimentConfig(experiment="sweep", solver="solve-single", sweep_axes=(("tol", (1e-8,)),)), "sweep_axes"),
+        (ExperimentConfig(experiment="sweep", solver="solve-single", sweep_axes=(("k", (1.0,)), ("k", (2.0,)))),
+         "sweep_axes"),
+    ],
+    ids=["experiment", "unknown-check", "repeated-check", "cost", "output_dir", "unknown-axis", "repeated-axis"],
+)
+def test_run_config_rejects_an_unknown_experiment(tmp_path, config, field):
+    # a config built in code meets the rules a config file does
     with pytest.raises(ConfigError) as err:
-        run_config(ExperimentConfig(experiment="nope"), tmp_path / "out")
-    assert err.value.field == "experiment"
+        run_config(config, tmp_path / "out")
+    assert err.value.field == field
     assert not (tmp_path / "out").exists()
 
 

@@ -45,3 +45,32 @@ def test_check_digests_finds_a_changed_byte(tmp_path, capsys):
     value.write_bytes(value.read_bytes().replace(b"\n0.0,", b"\n-0.0,", 1))
     assert check.main([str(tmp_path)]) == 1
     assert f"{value}: differs from {tmp_path / 'manifest.json'}" in capsys.readouterr().out
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
+    count = load_script("code_lines")
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+
+def area(r):
+    """Function docstring."""
+    # a comment on its own line
+    text = """a string that is not a docstring
+spans two code lines"""
+    return math.pi * r * r, text
+'''
+    # import, def, the string's two lines, return
+    assert count.code_lines(source) == 5
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(source)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
+    assert count.main([str(tmp_path / "pkg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["5", str(tmp_path / "pkg" / "a.py")],
+        ["1", str(tmp_path / "pkg" / "b.py")],
+        ["6", "total"],
+    ]
