@@ -36,10 +36,9 @@ ORACLE_CHECKS = ("period2", "period1", "stackelberg")
 DEFAULT_GRID_N = 1001
 DEFAULT_GRID_N_MPE = 501
 
-# Peak number of n x n float64 matrices alive at once where they are built:
-# making a cost matrix holds the displacements, an intermediate product and
-# the costs (the solvers then keep the costs alone). The two-period solvers
-# and the oracle's response tables, which work in blocks, build none.
+# n x n float64 matrices a grid size must fit in memory, the peak of the
+# cost matrix the solvers once built; no solver holds one now, and the
+# bound limits the n^2 work of the kernel's fallback and the oracle.
 DENSE_MATRICES = 3
 DENSE_EXPERIMENTS = ("solve-single", "solve-mpe")
 
@@ -103,6 +102,13 @@ _FIELD_TYPES = {
     name: typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind
     for name, kind in typing.get_type_hints(ExperimentConfig).items()
 }
+
+
+def _of_type(value, kind) -> bool:
+    """Whether value has the declared type kind: a bool is no number, and an int no float."""
+    if kind == tuple[str, ...]:
+        return isinstance(value, tuple) and all(isinstance(item, str) for item in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _one_of(choices):
@@ -246,17 +252,21 @@ def sweep_combinations(config: ExperimentConfig):
 
 
 def validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Check every field against its rule (FIELD_RULES) and its range, and the fields against each other.
+    """Check every field's type, rule (FIELD_RULES) and range, and the fields against each other.
 
     A sweep is checked as a whole and then, combination by combination,
     as its solver's own config, so a bad combination fails before any
     combination writes artifacts. Only a sweep may name a solver or axes.
     """
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(config, name)
+        unset = value is None and getattr(ExperimentConfig, name) is None  # an optional field left out
+        if kind in _PARSERS and not unset and not _of_type(value, kind):
+            raise ConfigError(name, f"must be of type {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(name, f"must be finite, got {value}")
     for name in FIELD_RULES:
         check_field(name, getattr(config, name))
-    for name, kind in _FIELD_TYPES.items():
-        if kind is float and not math.isfinite(getattr(config, name)):
-            raise ConfigError(name, f"must be finite, got {getattr(config, name)}")
     if not 0.0 < config.pi < 1.0:
         raise ConfigError("pi", f"must lie in (0, 1), got {config.pi}")
     if not 0.0 < config.beta < 1.0:

@@ -198,6 +198,7 @@ def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
         "converged": sol.converged,
         "min_margin": sol.min_margin,
         "exact_ties": sol.exact_ties,
+        "kernel_fallbacks": sol.kernel_fallbacks,
     }
     code = EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
     return _finish(config, out_dir, diagnostics, artifacts, phases, code)
@@ -329,6 +330,7 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
         "cycle_entered_at": sol.cycle_entered_at,
         "dense_calls": sol.dense_calls,
         "rescored_sources": sol.rescored_sources,
+        "kernel_fallbacks": sol.kernel_fallbacks,
         "no_deviation_gain": gain,
     }
     return _finish(config, out_dir, diagnostics, artifacts, phases)

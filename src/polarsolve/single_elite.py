@@ -23,7 +23,6 @@ from .grids import Grid
 from .kernel import (
     CandidateEvaluation,
     best_candidate,
-    cost_matrix,
     expected_next,
     greedy_step,
     move_cost,
@@ -103,7 +102,8 @@ class InfiniteHorizonSolution:
     smallest gap between a source's best and runner-up destination
     scores there, over the sources (both states) whose best is not an
     exact tie; None when every source ties. exact_ties counts the sources
-    the tie rule settled.
+    the tie rule settled, and kernel_fallbacks the greedy calls that took
+    the kernel's full-row scan.
     """
 
     value: ValueTable
@@ -114,6 +114,7 @@ class InfiniteHorizonSolution:
     evaluation_sweeps: int
     min_margin: float | None
     exact_ties: int
+    kernel_fallbacks: int
 
 
 @dataclass(frozen=True)
@@ -243,9 +244,9 @@ def period1_solve(params: ModelParams, cost: CostSpec, p, s: int) -> Period1Solu
     return Period1Solution(*best_candidate(evaluations, points))
 
 
-def _policy(beta: float, stages: list, costmat: np.ndarray, continuation: np.ndarray, grid: Grid) -> PolicyTable:
+def _policy(beta: float, stages: list, cost: CostSpec, continuation: np.ndarray, grid: Grid) -> PolicyTable:
     """The greedy moves against a continuation."""
-    idx, _ = greedy_step(beta, stages, costmat, continuation, grid)
+    idx, _ = greedy_step(beta, stages, cost, continuation, grid)
     return PolicyTable(grid=grid, sigma0=grid.points[idx[0]], sigma1=grid.points[idx[1]])
 
 
@@ -277,8 +278,7 @@ def _evaluate(params: ModelParams, stages: list, cost: CostSpec, grid: Grid, idx
 def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable) -> ValueTable:
     """One synchronous sweep of the Bellman operator over the grid."""
     continuation = expected_next(params.pi, v.v0, v.v1)
-    stages, costmat = stage_payoffs(params, grid), cost_matrix(cost, grid)
-    _, (v0, v1) = greedy_step(params.beta, stages, costmat, continuation, grid)
+    _, (v0, v1) = greedy_step(params.beta, stage_payoffs(params, grid), cost, continuation, grid)
     return ValueTable(grid=grid, v0=v0, v1=v1)
 
 
@@ -298,25 +298,23 @@ def solve_infinite(
     value by more than _FEW_ULPS ulps, the evaluation stops and greedy
     steps alone run until the tables repeat bit for bit. Those are the
     tables that value iteration from zero repeats at, so no tolerance
-    enters the result. The last step's input tables equal its output, so
-    its destinations and decision gaps are the policy and margins of the
-    emitted tables.
+    enters the result. One more greedy step against the emitted tables,
+    the only one that asks for exact gaps, gives the policy and margins.
 
     iterations counts dense sweeps and max_iter caps them. A solve that
     reaches the cap without a repeat is flagged, not raised: it returns
     the tables of its last dense sweep, whose sup-norm change is the
-    residual (0.0 at the fixed point), and the policy is extracted once
-    more against those tables.
+    residual (0.0 at the fixed point).
     """
-    costmat = cost_matrix(cost, grid)
     stages = stage_payoffs(params, grid)
     v = [np.zeros(grid.n), np.zeros(grid.n)]
     gaps = np.empty((2, grid.n))
+    fallbacks = [0]
     residual = math.inf
     iterations = evaluation_sweeps = 0
     settled = False
     while iterations < max_iter:
-        idx, new = greedy_step(params.beta, stages, costmat, expected_next(params.pi, *v), grid, gaps)
+        idx, new = greedy_step(params.beta, stages, cost, expected_next(params.pi, *v), grid, fallbacks=fallbacks)
         iterations += 1
         residual = sup_change(new, v)
         v = new
@@ -325,8 +323,7 @@ def solve_infinite(
         settled = settled or residual <= _FEW_ULPS * math.ulp(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
         if not settled:
             evaluation_sweeps += _evaluate(params, stages, cost, grid, idx, v)
-    if residual != 0.0:
-        idx, _ = greedy_step(params.beta, stages, costmat, expected_next(params.pi, *v), grid, gaps)
+    idx, _ = greedy_step(params.beta, stages, cost, expected_next(params.pi, *v), grid, gaps, fallbacks)
     untied = gaps[gaps > 0.0]
     return InfiniteHorizonSolution(
         value=ValueTable(grid=grid, v0=v[0], v1=v[1]),
@@ -337,6 +334,7 @@ def solve_infinite(
         evaluation_sweeps=evaluation_sweeps,
         min_margin=float(untied.min()) if untied.size else None,
         exact_ties=int(np.count_nonzero(gaps == 0.0)),
+        kernel_fallbacks=fallbacks[0],
     )
 
 
@@ -421,8 +419,8 @@ def compare_cost_technologies(
     if mode == "fixed":
         continuation = expected_next(params.pi, sol_base.value.v0, sol_base.value.v1)
         stages = stage_payoffs(params, grid)
-        policy_base = _policy(params.beta, stages, cost_matrix(cost_base, grid), continuation, grid)
-        policy_costlier = _policy(params.beta, stages, cost_matrix(cost_costlier, grid), continuation, grid)
+        policy_base = _policy(params.beta, stages, cost_base, continuation, grid)
+        policy_costlier = _policy(params.beta, stages, cost_costlier, continuation, grid)
     else:
         policy_base = sol_base.policy
         policy_costlier = solve_infinite(params, cost_costlier, grid).policy

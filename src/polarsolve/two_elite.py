@@ -56,7 +56,6 @@ from .kernel import (
     CandidateEvaluation,
     CertifiedSteps,
     best_candidate,
-    cost_matrix,
     expected_next,
     greedy_step,
     move_cost,
@@ -168,9 +167,10 @@ class MpeSolution:
     cycle_period: int | None = None
     # First step whose waiting values recur P steps later (exact cycle only).
     cycle_entered_at: int | None = None
-    # Full greedy calls, and sources rescored one by one where a certificate failed.
+    # Full greedy calls, sources rescored where a certificate failed, calls that took the full-row scan.
     dense_calls: int = 0
     rescored_sources: int = 0
+    kernel_fallbacks: int = 0
 
     def mover_values(self, elite: str, s: int) -> np.ndarray:
         table = {("A", 0): self.vA0, ("A", 1): self.vA1, ("B", 0): self.vB0, ("B", 1): self.vB1}
@@ -225,7 +225,6 @@ def mpe_solve(
     if not np.array_equal(1.0 - pts, pts[::-1]):
         raise ValueError("mpe_solve needs a mirror-closed grid (1 - p on the grid for every p)")
     last = grid.n - 1
-    costmat = cost_matrix(cost, grid)
     stage = stage_payoffs(params, grid)
     # Payoff to A, waiting, when B lands on each point in state s.
     waiting_stage = [
@@ -238,7 +237,7 @@ def mpe_solve(
     residual = math.inf
     cycle_period = cycle_entered_at = None
     seen = {}  # digest of A's waiting values -> the first step that left them
-    sweep = CertifiedSteps(beta, stage, costmat, grid)
+    sweep = CertifiedSteps(beta, stage, cost, grid)
     steps, end = 0, horizon
     while steps < end:
         new_idx, new_v = sweep(u)
@@ -282,6 +281,7 @@ def mpe_solve(
         cycle_entered_at=cycle_entered_at,
         dense_calls=sweep.dense_calls,
         rescored_sources=sweep.rescored_sources,
+        kernel_fallbacks=sweep.fallbacks[0],
     )
 
 
@@ -308,14 +308,13 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
     assumed here, so a wrong B table shows up too.
     """
     grid = sol.grid
-    costmat = cost_matrix(cost, grid)
     stages = stage_payoffs(params, grid)
     worst = -math.inf
     for elite in (ELITE_A, ELITE_B):
         waiting = sol.waiting_values(elite)
         _reject(~np.isfinite(waiting), waiting, grid, f"elite {elite}: the waiting value u{elite}", "not finite")
         # The Bellman step's state s is the mover who prefers policy s.
-        _, best = greedy_step(params.beta, stages, costmat, waiting, grid)
+        _, best = greedy_step(params.beta, stages, cost, waiting, grid)
         for s in (0, 1):
             pref = _preferred(elite, s)
             owner = f"elite {elite}, state {s}"

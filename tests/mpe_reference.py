@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from polarsolve.model import implemented_policy
-from polarsolve.kernel import cost_matrix
+from dense_reference import cost_matrix
 from polarsolve.two_elite import MpeSolution
 from tie_reference import greedy_by_column
 

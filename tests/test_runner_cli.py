@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import polarsolve as ps
 from polarsolve import runner
 from polarsolve.cli import main
-from polarsolve.config import ConfigError, ExperimentConfig, parse_config
+from polarsolve.config import ConfigError, ExperimentConfig, load_config, parse_config
 from polarsolve.runner import (
     emit_policy_csv,
     emit_value_csv,
@@ -164,6 +164,20 @@ def test_mpe_baseline_manifest_reports_two_cycle(tmp_path):
     assert 0 < diagnostics["cycle_entered_at"] < diagnostics["horizon_used"] < 600
     # one phase of a cycle, not a stationary equilibrium: a mover gains by deviating
     assert diagnostics["no_deviation_gain"] > 1e-3
+
+
+def test_every_preset_solves_without_the_kernel_fallback(tmp_path):
+    # a preset sliding onto the kernel's full-row scan is slow, not wrong: only this count shows it
+    presets = sorted((Path(__file__).resolve().parent.parent / "presets").glob("*.cfg"))
+    for preset in presets:
+        assert run_config(load_config(preset), tmp_path / preset.stem).exit_code == 0
+    counted = 0
+    for path in sorted(tmp_path.rglob("manifest.json")):
+        manifest = json.loads(path.read_text())
+        if manifest["config"]["experiment"] in ("solve-single", "solve-mpe"):
+            assert manifest["diagnostics"]["kernel_fallbacks"] == 0, path
+            counted += 1
+    assert counted > len(presets)  # the sweeps' combinations too
 
 
 def test_solve_two_period_writes_candidates(tmp_path):
@@ -509,8 +523,12 @@ def test_cli_config_check_exits_2_naming_the_field(tmp_path, capsys, monkeypatch
         (ExperimentConfig(experiment="sweep", solver="solve-single", sweep_axes=(("tol", (1e-8,)),)), "sweep_axes"),
         (ExperimentConfig(experiment="sweep", solver="solve-single", sweep_axes=(("k", (1.0,)), ("k", (2.0,)))),
          "sweep_axes"),
+        (ExperimentConfig(experiment="solve-single", grid_n=11, pi="0.5"), "pi"),
+        (ExperimentConfig(experiment="solve-single", grid_n=51.0), "grid_n"),
+        (ExperimentConfig(experiment="solve-single", grid_n=11, k=True), "k"),
     ],
-    ids=["experiment", "unknown-check", "repeated-check", "cost", "output_dir", "unknown-axis", "repeated-axis"],
+    ids=["experiment", "unknown-check", "repeated-check", "cost", "output_dir", "unknown-axis", "repeated-axis",
+         "str-pi", "float-grid_n", "bool-k"],
 )
 def test_run_config_rejects_an_unknown_experiment(tmp_path, config, field):
     # a config built in code meets the rules a config file does

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import polarsolve as ps
 from polarsolve import kernel, single_elite
 from polarsolve.model import evaluate_cost, stage_payoff
-from polarsolve.kernel import cost_matrix, greedy, move_cost, stage_payoffs
+from polarsolve.kernel import greedy, move_cost, stage_payoffs
 from polarsolve.single_elite import ValueTable, _policy, bellman_apply
+from dense_reference import cost_matrix
 from tie_reference import break_tie
 from vi_reference import vi_reference
 
@@ -307,7 +308,7 @@ def test_solve_infinite_decision_margins(max_iter):
     assert sol.min_margin > 0.0
     continuation = PARAMS.pi * sol.value.v1 + (1.0 - PARAMS.pi) * sol.value.v0
     costmat = cost_matrix(QUAD10, grid)
-    policy = _policy(PARAMS.beta, stage_payoffs(PARAMS, grid), costmat, continuation, grid)
+    policy = _policy(PARAMS.beta, stage_payoffs(PARAMS, grid), QUAD10, continuation, grid)
     assert np.array_equal(sol.policy.sigma0, policy.sigma0)
     assert np.array_equal(sol.policy.sigma1, policy.sigma1)
     # best minus runner-up score of every source, from the full score matrix
@@ -474,7 +475,7 @@ def test_greedy_matches_per_column_tie_ladder(half, k, rows, data):
     with mock.patch.object(kernel, "_BLOCK_BYTES", rows * 8 * grid.n):
         for prefer_right in (False, True):
             gap = np.empty(grid.n)
-            idx, best = greedy(base, costmat, grid, prefer_right, gap)
+            idx, best = greedy(base, ps.CostSpec.quadratic(k), grid, prefer_right, gap)
             want = [
                 break_tie(np.flatnonzero(scores[:, i] == scores[:, i].max()), i, grid, prefer_right)
                 for i in range(grid.n)
@@ -498,7 +499,7 @@ def test_greedy_straddle_tie_goes_to_preferred_side(prefer_right):
     column = base - costmat[mid]
     tied = np.flatnonzero(column == column.max())
     assert tied.tolist() == [mid - d, mid + d]
-    idx, _ = greedy(base, costmat, grid, prefer_right)
+    idx, _ = greedy(base, ps.CostSpec.quadratic(1.0), grid, prefer_right)
     assert idx[mid] == (mid + d if prefer_right else mid - d)
     assert idx[mid] == break_tie(tied, mid, grid, prefer_right)
 

@@ -3,7 +3,8 @@
 Every module of src/polarsolve is parsed, not imported. A module may not
 import a _-prefixed name from a sibling module, nor reach one through a
 sibling module object, and the two-elite solvers do not import the
-single-elite ones: what they share lives in the kernel module.
+single-elite ones: what they share lives in the kernel module. No module
+builds the dense cost matrix, which lives on as a test reference.
 """
 
 import ast
@@ -79,3 +80,14 @@ def test_oracle_does_not_import_the_solvers():
     imported = {target for target, _, _ in _imports(tree)}
     assert "model" in imported
     assert imported.isdisjoint({"kernel", "single_elite", "two_elite"})
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_builds_a_cost_matrix(path):
+    # the kernel computes each cost where it scores the move; the dense matrix is a test reference
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "cost_matrix" not in names

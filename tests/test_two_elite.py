@@ -154,7 +154,7 @@ def test_mpe_mirror_identities(pi):
 def assert_same_solution(got, want):
     for field in dataclasses.fields(MpeSolution):
         # work counts: the reference scores every move and counts nothing
-        if field.name in ("horizon_used", "dense_calls", "rescored_sources"):
+        if field.name in ("horizon_used", "dense_calls", "rescored_sources", "kernel_fallbacks"):
             continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(a, np.ndarray):

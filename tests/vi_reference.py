@@ -11,19 +11,18 @@ faster solver lands on the same float tables and policy.
 
 import numpy as np
 
-from polarsolve.kernel import cost_matrix, greedy_step, stage_payoffs
+from polarsolve.kernel import greedy_step, stage_payoffs
 from polarsolve.single_elite import _policy
 
 
 def vi_reference(params, cost, grid, max_sweeps=100_000):
     """(v0, v1, policy, sweeps) at the first table that a sweep returns unchanged."""
-    costmat = cost_matrix(cost, grid)
     stages = stage_payoffs(params, grid)
     v0, v1 = np.zeros(grid.n), np.zeros(grid.n)
     for sweeps in range(1, max_sweeps + 1):
         continuation = params.pi * v1 + (1.0 - params.pi) * v0
-        _, (new0, new1) = greedy_step(params.beta, stages, costmat, continuation, grid)
+        _, (new0, new1) = greedy_step(params.beta, stages, cost, continuation, grid)
         if np.array_equal(new0, v0) and np.array_equal(new1, v1):
-            return v0, v1, _policy(params.beta, stages, costmat, continuation, grid), sweeps
+            return v0, v1, _policy(params.beta, stages, cost, continuation, grid), sweeps
         v0, v1 = new0, new1
     raise AssertionError(f"no bitwise repeat within {max_sweeps} sweeps")
