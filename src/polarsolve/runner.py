@@ -3,11 +3,12 @@
 Outputs are deterministic: identical configs produce byte-identical CSVs
 and JSON artifacts. Floats are written with Python's shortest exact
 representation, so parsing an emitted file recovers the in-memory table
-bit for bit. Each distinct float64 bit pattern of a file is spelled once,
-and each file is joined once from its fixed fragments and the spelled
-cells. Every writer returns the SHA-256 of the bytes it wrote, which the
-manifest lists; no artifact is read back. The only nondeterministic
-values (wall time and per-phase seconds) live inside the manifest's
+bit for bit. Each distinct float64 bit pattern of a file is spelled once
+(of a two-period run's three files, once for all three), and each file
+is joined once from its fixed fragments and the spelled cells. Every
+writer returns the SHA-256 of the bytes it wrote, which the manifest
+lists; no artifact is read back. The only nondeterministic values (wall
+time, per-phase seconds and the environment) live inside the manifest's
 diagnostics block.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,21 +59,40 @@ class RunResult:
     manifest: dict
 
 
-def _spelled_columns(columns: list, spell) -> list:
-    """Every column's values as strings, in order; spell(values) spells a list of Python values.
+def _is_float(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
 
-    The float64 arrays among the columns are spelled together: each
-    distinct bit pattern (so -0.0 apart from 0.0) once, and the spellings
-    gathered back. Any other column is spelled as a list.
+
+class _Words:
+    """Spellings of the float64 values of some arrays, each distinct bit pattern (-0.0 apart from 0.0) once.
+
+    Called with an array of those values, it gives their repr spellings,
+    as a CSV holds them; json gives json.dumps's, which differ only at a
+    non-finite value.
     """
-    is_float = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
-    floats = [c for c, f in zip(columns, is_float) if f]
-    if floats:
-        bits, inverse = np.unique(np.concatenate(floats).view(np.int64), return_inverse=True)
-        words = np.array(spell(bits.view(np.float64).tolist()), dtype=object)[inverse]
-        float_words = iter(np.split(words, np.cumsum([c.size for c in floats])[:-1]))
-    others = (spell(c.tolist() if isinstance(c, np.ndarray) else c) for c, f in zip(columns, is_float) if not f)
-    return [next(float_words) if f else next(others) for f in is_float]
+
+    def __init__(self, arrays: list):
+        # return_inverse keeps np.unique on its argsort path, as kernel.greedy
+        # takes it: the plain sort path's first call raised resident memory
+        # by about 1.5 MB, the argsort path's by 0.4 MB (numpy 2.4).
+        self._bits = np.unique(np.concatenate([np.empty(0), *arrays]).view(np.int64), return_inverse=True)[0]
+        values = self._bits.view(np.float64)
+        self._words = self._json = np.array(list(map(repr, values.tolist())), dtype=object)
+        odd = ~np.isfinite(values)
+        if odd.any():
+            self._json = self._words.copy()
+            self._json[odd] = list(map(json.dumps, values[odd].tolist()))
+
+    def __call__(self, column: np.ndarray) -> np.ndarray:
+        return self._words[np.searchsorted(self._bits, column.view(np.int64))]
+
+    def json(self, column: np.ndarray) -> np.ndarray:
+        return self._json[np.searchsorted(self._bits, column.view(np.int64))]
+
+
+def _spelled_columns(columns: list, spell, floats) -> list:
+    """Every column's values as strings, in order: floats(column) of a float64 array, spell(list) of any other."""
+    return [floats(c) if _is_float(c) else spell(c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
 
 
 def _joined(head: str, cells: list, after: list, last: str) -> str:
@@ -94,32 +115,40 @@ def _write(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], words=None) -> str:
+    """words, a _Words, spells the float64 columns; by default one of this file's floats."""
+    words = _Words(list(filter(_is_float, columns))) if words is None else words
     # repr of a Python float is its shortest round-trip spelling.
-    cells = _spelled_columns(columns, lambda values: list(map(repr, values)))
+    cells = _spelled_columns(columns, lambda values: list(map(repr, values)), words)
     after = [","] * (len(columns) - 1) + ["\n"]
     return _write(path, _joined(",".join(header) + "\n", cells, after, "\n"))
 
 
-def emit_policy_csv(tables, path) -> str:
-    """Write a policy CSV (single-elite or two-elite schema) to path; return its SHA-256."""
+def emit_policy_csv(tables, path, words=None) -> str:
+    """Write a policy CSV (single-elite or two-elite schema) to path; return its SHA-256.
+
+    words, if given, is a _Words that holds every float of the tables.
+    """
     path = Path(path)
     if isinstance(tables, MpeSolution):
         columns = [tables.sigmaA0, tables.sigmaA1, tables.sigmaB0, tables.sigmaB1]
-        return _write_csv(path, MPE_POLICY_HEADER, [tables.grid.points, *columns])
+        return _write_csv(path, MPE_POLICY_HEADER, [tables.grid.points, *columns], words)
     if isinstance(tables, PolicyTable):
-        return _write_csv(path, SINGLE_POLICY_HEADER, [tables.grid.points, tables.sigma0, tables.sigma1])
+        return _write_csv(path, SINGLE_POLICY_HEADER, [tables.grid.points, tables.sigma0, tables.sigma1], words)
     raise TypeError(f"cannot emit policy CSV for {type(tables).__name__}")
 
 
-def emit_value_csv(tables, path) -> str:
-    """Write a value CSV (single-elite or two-elite schema) to path; return its SHA-256."""
+def emit_value_csv(tables, path, words=None) -> str:
+    """Write a value CSV (single-elite or two-elite schema) to path; return its SHA-256.
+
+    words, if given, is a _Words that holds every float of the tables.
+    """
     path = Path(path)
     if isinstance(tables, MpeSolution):
         columns = [tables.vA0, tables.vA1, tables.uA, tables.vB0, tables.vB1, tables.uB]
-        return _write_csv(path, MPE_VALUE_HEADER, [tables.grid.points, *columns])
+        return _write_csv(path, MPE_VALUE_HEADER, [tables.grid.points, *columns], words)
     if isinstance(tables, ValueTable):
-        return _write_csv(path, SINGLE_VALUE_HEADER, [tables.grid.points, tables.v0, tables.v1])
+        return _write_csv(path, SINGLE_VALUE_HEADER, [tables.grid.points, tables.v0, tables.v1], words)
     raise TypeError(f"cannot emit value CSV for {type(tables).__name__}")
 
 
@@ -154,6 +183,11 @@ class _Phases(dict):
         return spent
 
 
+def _env() -> dict:
+    """The manifest's record of what ran the solve: the numpy version and the CPU count."""
+    return {"numpy": np.__version__, "cpu_count": os.cpu_count()}
+
+
 def _finish(
     config: ExperimentConfig, out_dir: Path, diagnostics: dict, artifacts: dict, phases: _Phases, exit_code=EXIT_OK
 ) -> RunResult:
@@ -164,18 +198,18 @@ def _finish(
         "tool_version": TOOL_VERSION,
         "experiment": config.experiment,
         "config": config_as_dict(config),
-        "diagnostics": {**diagnostics, "phases": dict(phases)},
+        "diagnostics": {**diagnostics, "env": _env(), "phases": dict(phases)},
         "artifacts": [{"path": name, "sha256": digest} for name, digest in artifacts.items()],
     }
     _write_json(out_dir / "manifest.json", manifest)
     return RunResult(exit_code, out_dir, manifest)
 
 
-def _emit_tables(policy, value, out_dir: Path) -> dict:
-    """Write policy.csv and value.csv; return their digests by name."""
+def _emit_tables(policy, value, out_dir: Path, words=None) -> dict:
+    """Write policy.csv and value.csv, spelled by words if given; return their digests by name."""
     return {
-        "policy.csv": emit_policy_csv(policy, out_dir / "policy.csv"),
-        "value.csv": emit_value_csv(value, out_dir / "value.csv"),
+        "policy.csv": emit_policy_csv(policy, out_dir / "policy.csv", words),
+        "value.csv": emit_value_csv(value, out_dir / "value.csv", words),
     }
 
 
@@ -245,7 +279,22 @@ def _spelled(column: list) -> list[str]:
     return list(map(json.dumps, column))
 
 
-def _records_json(states: list[dict]) -> str:
+def _leaves(columns: dict) -> list:
+    """The value columns of a dict of columns, in the order json.dumps visits them."""
+    leaves = []
+    for key in sorted(columns):
+        if key == "candidates":
+            leaves += [slot[field] for slot in columns[key] for field in sorted(slot)]
+        else:
+            leaves.append(columns[key])
+    return leaves
+
+
+def _float_leaves(states: list[dict]) -> list:
+    return [leaf for columns in states for leaf in _leaves(columns) if _is_float(leaf)]
+
+
+def _records_json(states: list[dict], words=None) -> str:
     """json.dumps(records, indent=2, sort_keys=True) + "\n" for records given as columns.
 
     states is a list of dicts of columns, whose records follow one another.
@@ -255,8 +304,8 @@ def _records_json(states: list[dict]) -> str:
     encoder is pure Python and costs more than the solves, so json.dumps
     lays out one record of each dict of columns from placeholders, and the
     file is joined once from those fixed fragments and the spelled values.
-    The float64 array columns of all states are spelled together, each
-    distinct value once.
+    The float64 array columns of all states are spelled by words, a
+    _Words, by default one of those columns: each distinct value once.
     """
     fragments, leaves = [], []
     for columns in states:
@@ -264,13 +313,9 @@ def _records_json(states: list[dict]) -> str:
         layout["candidates"] = [{field: "%s" for field in slot} for slot in columns["candidates"]]
         # A record sits one level deep in the list.
         fragments.append(json.dumps(layout, indent=2, sort_keys=True).replace("\n", "\n  ").split('"%s"'))
-        leaves.append([])  # the value columns in the order json.dumps visits them
-        for key in sorted(columns):
-            if key == "candidates":
-                leaves[-1] += [slot[field] for slot in columns[key] for field in sorted(slot)]
-            else:
-                leaves[-1].append(columns[key])
-    spelled = iter(_spelled_columns(sum(leaves, []), _spelled))
+        leaves.append(_leaves(columns))
+    words = _Words(_float_leaves(states)) if words is None else words
+    spelled = iter(_spelled_columns(sum(leaves, []), _spelled, words.json))
     records = []
     for parts, state in zip(fragments, leaves):
         after = parts[1:-1] + [parts[-1] + ",\n  " + parts[0]]
@@ -292,8 +337,10 @@ def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, columns) -> 
     states = [columns(grid.points, s, solve(params, cost, grid.points, s)) for s in (0, 1)]
     elapsed = phases.lap("solve_s")
     (sigma0, v0), (sigma1, v1) = ((state["chosen"], state["value"]) for state in states)
-    artifacts = _emit_tables(PolicyTable(grid, sigma0, sigma1), ValueTable(grid, v0, v1), out_dir)
-    artifacts["candidates.json"] = _write(out_dir / "candidates.json", _records_json(states))
+    # One spelling of each distinct float serves the three files.
+    words = _Words([grid.points, *_float_leaves(states)])
+    artifacts = _emit_tables(PolicyTable(grid, sigma0, sigma1), ValueTable(grid, v0, v1), out_dir, words)
+    artifacts["candidates.json"] = _write(out_dir / "candidates.json", _records_json(states, words))
     return _finish(config, out_dir, {"wall_time_s": elapsed, "points": grid.n}, artifacts, phases)
 
 

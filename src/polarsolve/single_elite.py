@@ -250,29 +250,58 @@ def _policy(beta: float, stages: list, cost: CostSpec, continuation: np.ndarray,
     return PolicyTable(grid=grid, sigma0=grid.points[idx[0]], sigma1=grid.points[idx[1]])
 
 
-def _evaluate(params: ModelParams, stages: list, cost: CostSpec, grid: Grid, idx: list, v: list) -> int:
-    """Sweep the tables under fixed destinations idx, in place, until the change stops shrinking.
+def _evaluate(params: ModelParams, stages: list, cost: CostSpec, grid: Grid, idx: list, v: list):
+    """Sweep the tables under fixed destinations idx until the change stops shrinking: (tables, sweeps).
 
-    Each sweep scores destination idx_s[i] exactly as a dense sweep does,
+    The two states' tables are swept as one flat table of 2n entries. Each
+    sweep scores destination idx_s[i] exactly as a dense sweep does,
     (stage_s + beta * w)[j] - c(p_i - p_j) with w the continuation, but
     only that one: O(n), not O(n^2). The fixed-policy operator contracts
     by beta, so its change stops shrinking only at the rounding level (or
-    on a NaN). Returns the number of sweeps.
+    on a NaN).
     """
-    beta, pi = params.beta, params.pi
-    stage_at = [stage[i] for stage, i in zip(stages, idx)]
-    costs = [move_cost(cost, grid, i) for i in idx]
+    n, beta, pi = grid.n, params.beta, params.pi
+    to = np.concatenate(idx)
+    stage_at = np.concatenate([stage[i] for stage, i in zip(stages, idx)])
+    cost_at = np.concatenate([move_cost(cost, grid, i) for i in idx])
+    flat = np.concatenate(v)
     sweeps = 0
     last = math.inf
     while True:
-        continuation = expected_next(pi, *v)
-        new = [st + beta * continuation[i] - mc for st, i, mc in zip(stage_at, idx, costs)]
+        w = beta * expected_next(pi, flat[:n], flat[n:])
+        new = stage_at + w[to] - cost_at
         sweeps += 1
-        change = sup_change(new, v)
-        v[:] = new
+        change = np.abs(new - flat).max()
+        flat = new
         if not change < last:
-            return sweeps
+            return [flat[:n], flat[n:]], sweeps
         last = change
+
+
+def stay_put_values(params: ModelParams, cost: CostSpec, grid: Grid, max_iter: int = 10000) -> ValueTable:
+    """The values of staying put everywhere, by its float operator iterated from zero tables.
+
+    A point that stays sees only its own two values, so the tables hold
+    one sequence per distinct pair of stage payoffs (three on build_grid
+    grids): x_s <- stage_s + beta * (pi * x_1 + (1 - pi) * x_0) - c(0),
+    in the float operations of an evaluation sweep (and of greedy's score
+    of a zero move), from zero until it repeats or max_iter times.
+    """
+    pi, beta = params.pi, params.beta
+    stay = float(evaluate_cost(cost, 0.0))
+    pairs = list(zip(*(stage.tolist() for stage in stage_payoffs(params, grid))))
+    values = dict.fromkeys(pairs)
+    for a0, a1 in values:
+        x0 = x1 = 0.0
+        for _ in range(max_iter):
+            w = beta * (pi * x1 + (1.0 - pi) * x0)
+            y0, y1 = a0 + w - stay, a1 + w - stay
+            if y0 == x0 and y1 == x1:
+                break
+            x0, x1 = y0, y1
+        values[a0, a1] = x0, x1
+    v0, v1 = np.array(list(map(values.__getitem__, pairs))).T.copy()
+    return ValueTable(grid=grid, v0=v0, v1=v1)
 
 
 def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable) -> ValueTable:
@@ -292,22 +321,42 @@ def solve_infinite(
 ) -> InfiniteHorizonSolution:
     """The bitwise fixed point of the float Bellman operator, by modified policy iteration.
 
-    From zero tables, a dense greedy step (a Bellman sweep that keeps
-    its maximising destinations) alternates with O(n) sweeps that
-    evaluate those destinations (_evaluate). Once a greedy step moves no
-    value by more than _FEW_ULPS ulps, the evaluation stops and greedy
-    steps alone run until the tables repeat bit for bit. Those are the
-    tables that value iteration from zero repeats at, so no tolerance
-    enters the result. One more greedy step against the emitted tables,
-    the only one that asks for exact gaps, gives the policy and margins.
+    From the stay-put values (stay_put_values), a dense greedy step (a
+    Bellman sweep that keeps its maximising destinations) alternates
+    with O(n) sweeps that evaluate those destinations (_evaluate). Once
+    a greedy step moves no value by more than _FEW_ULPS ulps, the
+    evaluation stops and greedy steps alone run until the tables repeat
+    bit for bit. One more greedy step against the emitted tables, the
+    only one that asks for exact gaps, gives the policy and margins.
 
-    iterations counts dense sweeps and max_iter caps them. A solve that
-    reaches the cap without a repeat is flagged, not raised: it returns
-    the tables of its last dense sweep, whose sup-norm change is the
-    residual (0.0 at the fixed point).
+    The repeat is the table that value iteration from zero repeats at,
+    so neither the start nor any tolerance enters the result. Every float
+    operation of a sweep (a product by a positive constant, a sum, a
+    difference with a fixed cost, a gather, a maximum) is monotone, so the
+    float Bellman operator T is, and so is E, the operator that scores
+    each source's one destination of a greedy step as greedy does; and
+    E(v) <= T(v). From zero, T(0) >= 0 (staying scores stage - c(0) >= 0),
+    so T^k(0) rises and, floats being finitely many, repeats at a fixed
+    point F, with F = T^k(0) <= T^k(G) = G for every fixed point G >= 0.
+    The start s is an iterate of the stay-put operator S from zero, and
+    S is the E of staying put, so 0 <= s <= S(s) <= T(s) and, as
+    S(v) <= T(v) <= T(F) = F for v <= F, s <= F. From v <= F with
+    v <= T(v), a greedy step gives v' = T(v) = E(v) >= v, with E its
+    destinations, and an evaluation sweep from v <= E(v) gives
+    v' = E(v) >= v. Either way E(v') >= E(v) = v', so
+    v' <= E(v') <= T(v'), and v' <= T(F) = F. The tables rise and stay
+    below F, so their repeat T(v) = v is a fixed point G >= 0 with
+    G <= F: F itself.
+
+    iterations counts dense sweeps and max_iter caps them, as it caps
+    the start's iterations. A solve that reaches the cap without a
+    repeat is flagged, not raised: it returns the tables of its last
+    dense sweep, whose sup-norm change is the residual (0.0 at the fixed
+    point); those depend on the path taken, not on the model alone.
     """
     stages = stage_payoffs(params, grid)
-    v = [np.zeros(grid.n), np.zeros(grid.n)]
+    start = stay_put_values(params, cost, grid, max_iter)
+    v = [start.v0, start.v1]
     gaps = np.empty((2, grid.n))
     fallbacks = [0]
     residual = math.inf
@@ -322,7 +371,8 @@ def solve_infinite(
             break
         settled = settled or residual <= _FEW_ULPS * math.ulp(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
         if not settled:
-            evaluation_sweeps += _evaluate(params, stages, cost, grid, idx, v)
+            v, sweeps = _evaluate(params, stages, cost, grid, idx, v)
+            evaluation_sweeps += sweeps
     idx, _ = greedy_step(params.beta, stages, cost, expected_next(params.pi, *v), grid, gaps, fallbacks)
     untied = gaps[gaps > 0.0]
     return InfiniteHorizonSolution(

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import tempfile
 import threading
 import time
@@ -109,6 +110,16 @@ def test_runs_are_deterministic(tmp_path):
     assert manifest_without_diagnostics(tmp_path / "a" / "manifest.json") == (
         manifest_without_diagnostics(tmp_path / "b" / "manifest.json")
     )
+
+
+def test_every_manifest_records_the_numpy_version_and_cpu_count(tmp_path):
+    config = parse_config("experiment = sweep\nsolver = solve-single2p\nsweep.k = 1, 10\ngrid_n = 11\n")
+    assert run_config(config, tmp_path).exit_code == 0
+    manifests = sorted(tmp_path.rglob("manifest.json"))
+    assert len(manifests) == 3  # the sweep's and its two combinations'
+    for path in manifests:
+        env = json.loads(path.read_text())["diagnostics"]["env"]
+        assert env == {"numpy": np.__version__, "cpu_count": os.cpu_count()}
 
 
 def test_solve_single_nonconvergence_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import polarsolve as ps
@@ -45,6 +46,27 @@ def test_check_digests_finds_a_changed_byte(tmp_path, capsys):
     value.write_bytes(value.read_bytes().replace(b"\n0.0,", b"\n-0.0,", 1))
     assert check.main([str(tmp_path)]) == 1
     assert f"{value}: differs from {tmp_path / 'manifest.json'}" in capsys.readouterr().out
+
+
+def test_check_digests_holds_the_artifacts_to_a_pinned_file(tmp_path, capsys):
+    check = load_script("check_digests")
+    out, pins = tmp_path / "out", tmp_path / "pins.json"
+    config = ps.ExperimentConfig(experiment="solve-single2p", grid_n=11)
+    assert ps.run_config(config, out / "a").exit_code == 0
+    assert check.main([str(out), "--record", str(pins)]) == 0
+    # the manifest, with its wall times, is not pinned
+    assert sorted(json.loads(pins.read_text())) == ["a/candidates.json", "a/policy.csv", "a/value.csv"]
+    assert check.main([str(out), "--expect", str(pins)]) == 0
+    assert "3 pinned artifacts, 0 differ" in capsys.readouterr().out
+    # other bytes, with a manifest that matches them
+    assert ps.run_config(dataclasses.replace(config, k=11.0), out / "a").exit_code == 0
+    assert check.main([str(out), "--expect", str(pins)]) == 1
+    assert f"{out / 'a' / 'value.csv'}: differs from {pins}" in capsys.readouterr().out
+    # the same bytes under another path: three missing, three not pinned
+    assert ps.run_config(config, out / "a").exit_code == 0
+    (out / "a").rename(out / "b")
+    assert check.main([str(out), "--expect", str(pins)]) == 1
+    assert "3 pinned artifacts, 6 differ" in capsys.readouterr().out
 
 
 def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):

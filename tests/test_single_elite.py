@@ -276,13 +276,55 @@ FIXED_POINT_CASES = [
 )
 def test_solve_infinite_equals_value_iteration_to_repeat(n, params, cost):
     grid = ps.build_grid(n)
-    v0, v1, policy, sweeps = vi_reference(params, cost, grid)
+    v0, v1, policy, _, sweeps = vi_reference(params, cost, grid)
     sol = ps.solve_infinite(params, cost, grid)
     assert sol.converged and sol.residual == 0.0
     assert np.array_equal(sol.value.v0, v0) and np.array_equal(sol.value.v1, v1)
     assert np.array_equal(sol.policy.sigma0, policy.sigma0)
     assert np.array_equal(sol.policy.sigma1, policy.sigma1)
     assert sol.iterations < sweeps
+
+
+CUSTOM = ps.CostSpec.from_function(lambda x: 3.0 * x * x + x**4)
+
+
+@st.composite
+def single_elite_models(draw):
+    """(grid, params, cost): n <= 101, pi and beta in (0, 1) up to beta = 0.99, k from 0, or the custom cost."""
+    grid = ps.build_grid(2 * draw(st.integers(1, 50)) + 1)
+    pi = draw(st.floats(min_value=0.01, max_value=0.99))
+    beta = draw(st.sampled_from([0.99]) | st.floats(min_value=0.01, max_value=0.99))
+    H = draw(st.floats(min_value=0.1, max_value=5.0))
+    k = st.sampled_from([0.0]) | st.floats(min_value=0.0, max_value=300.0)
+    cost = draw(k.map(ps.CostSpec.quadratic) | st.just(CUSTOM))
+    return grid, ps.ModelParams(pi=pi, beta=beta, H=H), cost
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=single_elite_models())
+def test_solve_infinite_equals_value_iteration_from_zero(model):
+    # the stay-put start moves nothing: value iteration from zero repeats at the same tables
+    grid, params, cost = model
+    v0, v1, policy, gaps, _ = vi_reference(params, cost, grid)
+    sol = ps.solve_infinite(params, cost, grid)
+    assert sol.converged and sol.residual == 0.0
+    assert np.array_equal(sol.value.v0, v0) and np.array_equal(sol.value.v1, v1)
+    assert np.array_equal(sol.policy.sigma0, policy.sigma0)
+    assert np.array_equal(sol.policy.sigma1, policy.sigma1)
+    assert sol.exact_ties == np.count_nonzero(gaps == 0.0)
+    assert sol.min_margin == (gaps[gaps > 0.0].min() if np.any(gaps > 0.0) else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=single_elite_models())
+def test_stay_put_start_lies_below_its_bellman_sweep_and_the_solution(model):
+    grid, params, cost = model
+    start = single_elite.stay_put_values(params, cost, grid)
+    applied = bellman_apply(params, cost, grid, start)
+    sol = ps.solve_infinite(params, cost, grid)
+    for s in (0, 1):
+        assert np.all(start.values(s) <= applied.values(s))
+        assert np.all(start.values(s) <= sol.value.values(s))
 
 
 def test_solve_infinite_is_a_bitwise_fixed_point():
