@@ -7,8 +7,8 @@ bit for bit. Each distinct float64 bit pattern of a file is spelled once
 (of a two-period run's three files, once for all three), and each file
 is joined once from its fixed fragments and the spelled cells. Every
 writer returns the SHA-256 of the bytes it wrote, which the manifest
-lists; no artifact is read back. The only nondeterministic values (wall
-time, per-phase seconds and the environment) live inside the manifest's
+lists; no artifact is read back. The only nondeterministic values (the
+seconds of each phase and the environment) live inside the manifest's
 diagnostics block.
 """
 
@@ -109,9 +109,18 @@ def _joined(head: str, cells: list, after: list, last: str) -> str:
 
 
 def _write(path: Path, text: str) -> str:
-    """Write text as UTF-8 and return the SHA-256 of the bytes written."""
+    """Write text as UTF-8 and return the SHA-256 of the bytes written.
+
+    The bytes go to a sibling file that is renamed to path once whole, so
+    a write cut short leaves no file under path (nor the sibling).
+    """
     data = text.encode("utf-8")
-    path.write_bytes(data)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        partial.write_bytes(data)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -157,8 +166,7 @@ def read_table_csv(path) -> dict[str, np.ndarray]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:] if line]
-    columns = {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
-    return columns
+    return {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
 
 
 def _write_json(path: Path, data) -> str:
@@ -176,11 +184,9 @@ class _Phases(dict):
         super().__init__({key: math.fsum(p[key] for p in spent) for key in ("solve_s", "check_s", "write_s")})
         self._mark = time.perf_counter()
 
-    def lap(self, phase: str) -> float:
-        now = time.perf_counter()
-        spent, self._mark = now - self._mark, now
-        self[phase] += spent
-        return spent
+    def lap(self, phase: str) -> None:
+        mark, self._mark = self._mark, time.perf_counter()
+        self[phase] += self._mark - mark
 
 
 def _env() -> dict:
@@ -191,7 +197,10 @@ def _env() -> dict:
 def _finish(
     config: ExperimentConfig, out_dir: Path, diagnostics: dict, artifacts: dict, phases: _Phases, exit_code=EXIT_OK
 ) -> RunResult:
-    """Write the manifest over the artifacts (path relative to out_dir -> SHA-256) and wrap the result."""
+    """Write the manifest over the artifacts (path relative to out_dir -> SHA-256) and wrap the result.
+
+    The manifest is written last: a directory that holds one holds every artifact it lists.
+    """
     phases.lap("write_s")
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -213,19 +222,18 @@ def _emit_tables(policy, value, out_dir: Path, words=None) -> dict:
     }
 
 
-def _model(config: ExperimentConfig):
-    return ModelParams(pi=config.pi, beta=config.beta, H=config.H), CostSpec.quadratic(config.k)
+def _start(config: ExperimentConfig, n: int):
+    """The config's model, a grid of n points, and phases timed from then on."""
+    params = ModelParams(pi=config.pi, beta=config.beta, H=config.H)
+    return params, CostSpec.quadratic(config.k), build_grid(n), _Phases()
 
 
 def _run_solve_single(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    params, cost = _model(config)
-    grid = build_grid(config.resolved_grid_n())
-    phases = _Phases()
+    params, cost, grid, phases = _start(config, config.resolved_grid_n())
     sol = solve_infinite(params, cost, grid, max_iter=config.max_iter)
-    elapsed = phases.lap("solve_s")
+    phases.lap("solve_s")
     artifacts = _emit_tables(sol.policy, sol.value, out_dir)
     diagnostics = {
-        "wall_time_s": elapsed,
         "iterations": sol.iterations,
         "evaluation_sweeps": sol.evaluation_sweeps,
         "residual": sol.residual,
@@ -331,17 +339,15 @@ def _run_two_period(config: ExperimentConfig, out_dir: Path, solve, columns) -> 
     candidates.json records, whose "chosen" and "value" fill the policy
     and value tables.
     """
-    params, cost = _model(config)
-    grid = build_grid(config.resolved_grid_n())
-    phases = _Phases()
+    params, cost, grid, phases = _start(config, config.resolved_grid_n())
     states = [columns(grid.points, s, solve(params, cost, grid.points, s)) for s in (0, 1)]
-    elapsed = phases.lap("solve_s")
+    phases.lap("solve_s")
     (sigma0, v0), (sigma1, v1) = ((state["chosen"], state["value"]) for state in states)
     # One spelling of each distinct float serves the three files.
     words = _Words([grid.points, *_float_leaves(states)])
     artifacts = _emit_tables(PolicyTable(grid, sigma0, sigma1), ValueTable(grid, v0, v1), out_dir, words)
     artifacts["candidates.json"] = _write(out_dir / "candidates.json", _records_json(states, words))
-    return _finish(config, out_dir, {"wall_time_s": elapsed, "points": grid.n}, artifacts, phases)
+    return _finish(config, out_dir, {"points": grid.n}, artifacts, phases)
 
 
 # The solve functions are looked up when a run starts, not bound here, so
@@ -360,16 +366,13 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
     # below tol) and an exact cycle of any period are recorded as diagnostics;
     # the best-response dynamics genuinely cycle for many cost levels, which is
     # a property of the game, not a solver failure.
-    params, cost = _model(config)
-    grid = build_grid(config.resolved_grid_n())
-    phases = _Phases()
+    params, cost, grid, phases = _start(config, config.resolved_grid_n())
     sol = mpe_solve(params, cost, grid, horizon=config.horizon, residual_tol=config.tol)
-    elapsed = phases.lap("solve_s")
+    phases.lap("solve_s")
     gain = check_no_deviation(params, cost, sol)
     phases.lap("check_s")
     artifacts = _emit_tables(sol, sol, out_dir)
     diagnostics = {
-        "wall_time_s": elapsed,
         "horizon_used": sol.horizon_used,
         "residual": sol.residual,
         "stationary": sol.converged,
@@ -385,7 +388,6 @@ def _run_solve_mpe(config: ExperimentConfig, out_dir: Path) -> RunResult:
 
 def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:
     names = [name for name, _ in config.sweep_axes]
-    start = time.perf_counter()
     lines = [",".join(["combo"] + names + ["dir", "policy_csv", "value_csv"])]
     artifacts = {"index.csv": ""}  # listed first, hashed once written
     spent = []  # each combination's phases
@@ -401,99 +403,78 @@ def _run_sweep(config: ExperimentConfig, out_dir: Path) -> RunResult:
         worst = max(worst, result.exit_code)
     phases = _Phases(*spent)  # the combinations' sums; the index write is timed from here
     artifacts["index.csv"] = _write(out_dir / "index.csv", "\n".join(lines) + "\n")
-    elapsed = time.perf_counter() - start
     # One index line per combination, after the header.
-    diagnostics = {"wall_time_s": elapsed, "combinations": len(lines) - 1}
-    return _finish(config, out_dir, diagnostics, artifacts, phases, worst)
+    return _finish(config, out_dir, {"combinations": len(lines) - 1}, artifacts, phases, worst)
 
 
 def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    # Phases: the closed-form solves are "solve_s"; the oracle's tables and
-    # brute forces, and the comparisons, are "check_s".
     # The check reads the oracle grid alone, not the solver grid of grid_n points.
-    params, cost = _model(config)
-    ogrid = build_grid(config.oracle_n)
+    params, cost, ogrid, phases = _start(config, config.oracle_n)
     stride = (config.oracle_n - 1) // (config.scan_n - 1)
     scan = ogrid.points[::stride]
     # Grid-snap error in the oracle value scales with its step, so the value
     # tolerances do too; at the default 2001-point oracle they equal the
     # release-gate tolerances (2e-4 and 2e-3).
-    tol_period1 = 0.4 * ogrid.step
-    tol_stackelberg = 4.0 * ogrid.step
-    phases = _Phases()
-    report = {"scan_n": config.scan_n, "oracle_n": config.oracle_n, "checks": {}}
-    diagnostics = {}
-    ok = True
-    if "period2" in config.checks:
-        worst_value = worst_move = 0.0
-        tied, tied_ok = 0, True
+    tolerances = {"period2": 1e-12, "period1": 0.4 * ogrid.step, "stackelberg": 4.0 * ogrid.step}
+    diagnostics, checks = {}, {}
+
+    def per_state(solve, brute_force, oracle_tables):
+        """Yield (s, closed-form solution over the scan, oracle result) for s = 0, 1.
+
+        The solve is charged to solve_s; the brute force, and the
+        comparison the caller makes before the next state, to check_s.
+        """
         for s in (0, 1):
-            moves, values = period2_solve(params, cost, scan, s)
+            sol = solve(params, cost, scan, s)
             phases.lap("solve_s")
-            res = oracle_mod.brute_force_period2(params, cost, scan, s, ogrid)
-            # np.max, unlike max(), keeps a NaN difference, which then fails the check.
-            worst_value = float(np.max(np.abs(res.value - values), initial=worst_value))
+            yield s, sol, brute_force(params, cost, scan, s, oracle_tables)
+            phases.lap("check_s")
+
+    def worst(diffs: list) -> float:
+        # np.max, unlike max(), keeps a NaN difference, which then fails the check.
+        return float(np.max(np.concatenate(diffs), initial=0.0))
+
+    def enter(check: str, value_diffs: list, holds=True, **rest):
+        """Report a check that passes if its worst |closed-form - oracle| value is within tolerance and holds."""
+        value_diff = worst(value_diffs)
+        passed = value_diff <= tolerances[check] and holds
+        checks[check] = {"max_value_diff": value_diff, "tolerance": tolerances[check], **rest, "passed": passed}
+        phases.lap("check_s")
+
+    if "period2" in config.checks:
+        values, moves, ties, tied_ok = [], [], 0, True
+        for s, (move, value), res in per_state(period2_solve, oracle_mod.brute_force_period2, ogrid):
             tie = res.maximizers > 1
-            tied += int(np.count_nonzero(tie))
+            ties += int(np.count_nonzero(tie))
             # The oracle's lowest-index pick is one maximizer of several: the
             # closed-form move must be one too, scored from the primitives.
-            score = stage_payoff(s, moves[tie], params.H) - evaluate_cost(cost, moves[tie] - scan[tie])
-            tied_ok = tied_ok and bool(np.all(np.isin(moves[tie], ogrid.points) & (score == res.value[tie])))
-            worst_move = float(np.max(np.abs(res.argmax - moves)[~tie], initial=worst_move))
-            phases.lap("check_s")
-        passed = worst_value <= 1e-12 and worst_move <= ogrid.step + 1e-12 and tied_ok
+            score = stage_payoff(s, move[tie], params.H) - evaluate_cost(cost, move[tie] - scan[tie])
+            tied_ok = tied_ok and bool(np.all(np.isin(move[tie], ogrid.points) & (score == res.value[tie])))
+            values.append(np.abs(res.value - value))
+            moves.append(np.abs(res.argmax - move)[~tie])
         # Scan points checked by membership, not by max_argmax_diff.
-        diagnostics["period2_tied_points"] = tied
-        report["checks"]["period2"] = {
-            "max_value_diff": worst_value,
-            "max_argmax_diff": worst_move,
-            "tolerance": 1e-12,
-            "passed": passed,
-        }
-        ok = ok and passed
+        diagnostics["period2_tied_points"] = ties
+        worst_move = worst(moves)
+        enter("period2", values, worst_move <= ogrid.step + 1e-12 and tied_ok, max_argmax_diff=worst_move)
     if "period1" in config.checks or "stackelberg" in config.checks:
         # One enumeration of the period-2 problem serves both checks.
         tables = oracle_mod.period2_response_tables(params, cost, ogrid)
         phases.lap("check_s")
-
-    def worst_value_diff(solve, brute_force, oracle_tables):
-        """The largest |closed-form - oracle| value over the scan in both states, and the closed-form solutions."""
-        diffs, sols = [], []
-        for s in (0, 1):
-            sols.append(solve(params, cost, scan, s))
-            phases.lap("solve_s")
-            res = brute_force(params, cost, scan, s, oracle_tables)
-            diffs.append(np.abs(res.value - sols[-1].value).max())
-            phases.lap("check_s")
-        # np.max, unlike max(), keeps a NaN difference, which then fails the check.
-        return float(np.max(diffs)), sols
-
     if "period1" in config.checks:
-        worst_value, sols = worst_value_diff(period1_solve, oracle_mod.brute_force_two_period_single, tables)
-        pull_ok = all(bool(np.all(np.abs(sol.p_next - 0.5) <= np.abs(scan - 0.5) + 1e-15)) for sol in sols)
-        passed = worst_value <= tol_period1 and pull_ok
-        report["checks"]["period1"] = {
-            "max_value_diff": worst_value,
-            "pull_holds": pull_ok,
-            "tolerance": tol_period1,
-            "passed": passed,
-        }
-        ok = ok and passed
+        values, pull = [], True
+        for _, sol, res in per_state(period1_solve, oracle_mod.brute_force_two_period_single, tables):
+            values.append(np.abs(res.value - sol.value))
+            pull = pull and bool(np.all(np.abs(sol.p_next - 0.5) <= np.abs(scan - 0.5) + 1e-15))
+        enter("period1", values, pull, pull_holds=pull)
     if "stackelberg" in config.checks:
         rivals = oracle_mod.rival_response_tables(params, tables)
         phases.lap("check_s")
-        worst_value, _ = worst_value_diff(stackelberg_solve, oracle_mod.brute_force_stackelberg, rivals)
-        passed = worst_value <= tol_stackelberg
-        report["checks"]["stackelberg"] = {
-            "max_value_diff": worst_value,
-            "tolerance": tol_stackelberg,
-            "passed": passed,
-        }
-        ok = ok and passed
-    report["passed"] = ok
-    diagnostics["wall_time_s"] = phases["solve_s"] + phases["check_s"]
+        states = per_state(stackelberg_solve, oracle_mod.brute_force_stackelberg, rivals)
+        enter("stackelberg", [np.abs(res.value - sol.value) for _, sol, res in states])
+    passed = all(entry["passed"] for entry in checks.values())
+    report = {"scan_n": config.scan_n, "oracle_n": config.oracle_n, "checks": checks, "passed": passed}
     artifacts = {"oracle_check.json": _write_json(out_dir / "oracle_check.json", report)}
-    return _finish(config, out_dir, diagnostics, artifacts, phases, EXIT_OK if ok else EXIT_CHECK_FAILED)
+    return _finish(config, out_dir, diagnostics, artifacts, phases, EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 
 _RUNNERS = {

@@ -311,11 +311,6 @@ def bellman_apply(params: ModelParams, cost: CostSpec, grid: Grid, v: ValueTable
     return ValueTable(grid=grid, v0=v0, v1=v1)
 
 
-# A greedy step that moves no value by more than this many ulps of the
-# largest value has reached the rounding level of the float operator.
-_FEW_ULPS = 2
-
-
 def solve_infinite(
     params: ModelParams, cost: CostSpec, grid: Grid, max_iter: int = 10000
 ) -> InfiniteHorizonSolution:
@@ -323,11 +318,10 @@ def solve_infinite(
 
     From the stay-put values (stay_put_values), a dense greedy step (a
     Bellman sweep that keeps its maximising destinations) alternates
-    with O(n) sweeps that evaluate those destinations (_evaluate). Once
-    a greedy step moves no value by more than _FEW_ULPS ulps, the
-    evaluation stops and greedy steps alone run until the tables repeat
-    bit for bit. One more greedy step against the emitted tables, the
-    only one that asks for exact gaps, gives the policy and margins.
+    with O(n) sweeps that evaluate those destinations (_evaluate) until
+    a greedy step moves no value: the tables repeat bit for bit. One
+    more greedy step against the emitted tables, the only one that asks
+    for exact gaps, gives the policy and margins.
 
     The repeat is the table that value iteration from zero repeats at,
     so neither the start nor any tolerance enters the result. Every float
@@ -361,7 +355,6 @@ def solve_infinite(
     fallbacks = [0]
     residual = math.inf
     iterations = evaluation_sweeps = 0
-    settled = False
     while iterations < max_iter:
         idx, new = greedy_step(params.beta, stages, cost, expected_next(params.pi, *v), grid, fallbacks=fallbacks)
         iterations += 1
@@ -369,10 +362,8 @@ def solve_infinite(
         v = new
         if residual == 0.0 or iterations == max_iter:
             break
-        settled = settled or residual <= _FEW_ULPS * math.ulp(max(np.abs(v[0]).max(), np.abs(v[1]).max()))
-        if not settled:
-            v, sweeps = _evaluate(params, stages, cost, grid, idx, v)
-            evaluation_sweeps += sweeps
+        v, sweeps = _evaluate(params, stages, cost, grid, idx, v)
+        evaluation_sweeps += sweeps
     idx, _ = greedy_step(params.beta, stages, cost, expected_next(params.pi, *v), grid, gaps, fallbacks)
     untied = gaps[gaps > 0.0]
     return InfiniteHorizonSolution(

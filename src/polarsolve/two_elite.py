@@ -233,7 +233,6 @@ def mpe_solve(
 
     v = [np.zeros(grid.n), np.zeros(grid.n)]
     u = np.zeros(grid.n)
-    policy_idx = [np.arange(grid.n), np.arange(grid.n)]
     residual = math.inf
     cycle_period = cycle_entered_at = None
     seen = {}  # digest of A's waiting values -> the first step that left them

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polarsolve as ps
-from polarsolve import runner
+from polarsolve import oracle, runner
 from polarsolve.cli import main
 from polarsolve.config import ConfigError, ExperimentConfig, load_config, parse_config
 from polarsolve.runner import (
@@ -378,6 +379,63 @@ def test_oracle_check_builds_only_the_oracle_grid(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "manifest.json").read_text())["config"]["grid_n"] == 200001
 
 
+SLEEP_S = 0.1
+ORACLE_PERIOD1 = ["oracle-check", "checks=period1", "scan_n=21", "oracle_n=401"]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, phase",
+    [
+        (ORACLE_PERIOD1, runner, "period1_solve", "solve_s"),
+        (ORACLE_PERIOD1, oracle, "brute_force_two_period_single", "check_s"),
+        (["solve-mpe", "grid_n=51"], runner, "check_no_deviation", "check_s"),
+    ],
+)
+def test_manifest_charges_a_slowed_step_to_its_phase(tmp_path, monkeypatch, argv, module, name, phase):
+    # oracle-check: the closed-form solves are solve_s, the oracle's work check_s
+    step, calls = getattr(module, name), []
+
+    def slowed(*args, **kwargs):
+        calls.append(None)
+        time.sleep(SLEEP_S)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, slowed)
+    command = [argv[0], "--out", str(tmp_path)]
+    for override in argv[1:]:
+        command += ["--override", override]
+    assert main(command) == 0
+    phases = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["phases"]
+    other = {"solve_s": "check_s", "check_s": "solve_s"}[phase]
+    assert calls and phases[phase] >= SLEEP_S * len(calls) > phases[other]
+
+
+def test_sweep_phases_sum_those_of_its_combinations(tmp_path):
+    argv = ["sweep", "--out", str(tmp_path), "--override", "solver=solve-mpe", "--override", "sweep.k=1, 10"]
+    assert main(argv + ["--override", "grid_n=51"]) == 0
+    phases = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["phases"]
+    combos = [json.loads(p.read_text())["diagnostics"]["phases"] for p in tmp_path.glob("combo_*/manifest.json")]
+    assert len(combos) == 2
+    for key in ("solve_s", "check_s"):
+        assert phases[key] == math.fsum(combo[key] for combo in combos)
+
+
+def test_a_write_cut_short_leaves_no_artifact_under_its_name_and_no_manifest(tmp_path, monkeypatch):
+    write_bytes = Path.write_bytes
+
+    def half_then_fail(path, data):
+        if path.name.startswith("value.csv"):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError):
+        run_config(parse_config(BASE_SINGLE), tmp_path)
+    # policy.csv was written whole before the failing write
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.csv"]
+
+
 def test_cli_roundtrip(tmp_path, capsys):
     preset = Path(__file__).resolve().parent.parent / "presets" / "single_elite_baseline.cfg"
     code = main(
@@ -621,10 +679,10 @@ def test_artifacts_match_golden_digests(tmp_path, run):
     argv = [run["experiment"], "--out", str(tmp_path)]
     for override in run["overrides"]:
         argv += ["--override", override]
-    assert main(argv) == 0
+    assert main(argv) == run.get("exit_code", 0)
     for name, digest in run["sha256"].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
-    # manifests carry wall times in their diagnostics; everything else is pinned
+    # manifests carry per-phase seconds in their diagnostics; everything else is pinned
     for name, digest in run["manifest_sha256"].items():
         echo = json.dumps(manifest_without_diagnostics(tmp_path / name), sort_keys=True)
         assert hashlib.sha256(echo.encode()).hexdigest() == digest, name
