@@ -29,6 +29,11 @@ class Grid:
         return (self.n - 1) // 2
 
 
+def mirror_closed(grid: Grid) -> bool:
+    """Whether 1 - points[i] equals points[n-1-i] bit for bit at every i, as build_grid makes it."""
+    return bool(np.array_equal(1.0 - grid.points, grid.points[::-1]))
+
+
 def build_grid(n: int) -> Grid:
     """Uniform n-point grid on [0, 1]; n must be odd and at least 3."""
     if int(n) != n:

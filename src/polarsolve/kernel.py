@@ -2,17 +2,18 @@
 
 best_candidate picks among the two-period solvers' candidates; greedy
 maximises over grid destinations, and every Bellman sweep is one
-greedy_step. Both break ties by one rule, _wins_tie: at an equal score,
-b beats a if it is closer to the source p; if equally close, if it is
-closer to 1/2. best_candidate folds it over the candidates, so a full tie
-keeps the first listed. In greedy only the nearest tied destination at or
-below the source (lo) and the nearest at or above it (hi) can be closest;
-the one on the mover's preferred side goes in as a, so it keeps a full
-tie. Grid displacements are exact, so distinct points lo <= src <= hi tie
-on both rungs only if src is 1/2 and they are 1/2 -+ d: that equidistant
-pair goes to the mover's preferred side. The rule is symmetric under
-p -> 1 - p with the preferred side swapped, so mirror symmetry of the
-solutions is exact, not approximate.
+greedy_step: a greedy call per state, or one for both where the states
+mirror each other (Reflection, below). Both break ties by one rule,
+_wins_tie: at an equal score, b beats a if it is closer to the source p;
+if equally close, if it is closer to 1/2. best_candidate folds it over
+the candidates, so a full tie keeps the first listed. In greedy only the
+nearest tied destination at or below the source (lo) and the nearest at
+or above it (hi) can be closest; the one on the mover's preferred side
+goes in as a, so it keeps a full tie. Grid displacements are exact, so
+distinct points lo <= src <= hi tie on both rungs only if src is 1/2 and
+they are 1/2 -+ d: that equidistant pair goes to the mover's preferred
+side. The rule is symmetric under p -> 1 - p with the preferred side
+swapped, so mirror symmetry of the solutions is exact, not approximate.
 
 greedy scores source i's move to j as S[i, j] = fl(b[j] - c(p_i - p_j)),
 each cost computed where it is used: no n x n array is held. Per source
@@ -79,6 +80,31 @@ fl(b_t[j*] - C[i, j*]), and fl(h - thr), a proved bound, lets
 certificates chain. A tie records a gap of 0, which never passes; a NaN,
 or an overflow to inf in M, fails the comparison, so its source is
 rescored.
+
+Reflection. greedy_step and CertifiedSteps score state 1 by reversing
+state 0 when its base is state 0's reversed: base1 equals base0[::-1]
+bit for bit (as int64, so -0.0 against 0.0 refuses), every base value is
+finite (np.argmax takes the first NaN, which is not symmetric; an inf
+refuses with it) and the grid is mirror-closed (grids.mirror_closed).
+Then idx1 = (n - 1) - idx0[::-1], best1 = best0[::-1] and gap1 =
+gap0[::-1]. With i' = n - 1 - i, a mirror-closed grid has p_i' = 1 - p_i
+exactly (1 - p is exact for p >= 1/2), so p_i - p_j and p_j' - p_i'
+round the same real number: the displacements are negatives of each
+other bit for bit. Both cost kinds are even in the displacement (k x x,
+interp(|x|)), so state 1's score of i -> j is state 0's of i' -> j', and
+the rows hold the same scores, reversed. Its lowest maximiser is state
+0's highest reflected, its best and runner-up are state 0's, and the tie
+rule, symmetric with the preferred side swapped, settles the reflected
+tie set on the reflected side: state 1 prefers the right. The exact gaps
+reflect, so state 0's lower-bound gaps, reflected, bound state 1's exact
+gaps from below, and a certificate that reads them in state 1's ring
+slot still proves what it claims. A reflected state makes no greedy call
+and attempts no certificate. At pi = 1/2 the stage payoffs mirror each
+other and a continuation pi v1 + (1 - pi) v0 with v1 = v0[::-1] is a
+palindrome, so every single-elite step from the stay-put start, and
+every MPE step whose waiting values stay palindromic, reflects; the
+first test, base1[0] == base0[-1], rejects almost every other step at
+O(1).
 """
 
 from __future__ import annotations
@@ -87,7 +113,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, mirror_closed
 from .model import QUADRATIC, CostSpec, ModelParams, evaluate_cost, stage_payoff
 
 
@@ -302,20 +328,50 @@ def _settle(base, cost, pts, prefer_right, src, L, U, best, ties):
     return idx
 
 
+def _mirrors(base0, base1, grid: Grid) -> bool:
+    """Whether state 1's scores are state 0's reflected (see the module docstring's Reflection)."""
+    return bool(
+        base1[0] == base0[-1]
+        and np.array_equal(base1.view(np.int64), base0[::-1].view(np.int64))
+        and np.isfinite(base0).all()
+        and mirror_closed(grid)
+    )
+
+
+def _by_state(bases, grid: Grid, score, gaps):
+    """(idx, best), one array per state: score(s, bases[s]) for each state s.
+
+    Where _mirrors holds, state 1 is state 0 reflected through p -> 1 - p
+    instead, gaps[1] from gaps[0] if gaps is given, and score is not
+    called for it.
+    """
+    idx, best = [], []
+    for s, base in enumerate(bases):
+        if s == 1 and _mirrors(bases[0], base, grid):
+            i, b = idx[0].size - 1 - idx[0][::-1], best[0][::-1].copy()
+            if gaps is not None:
+                gaps[1] = gaps[0][::-1]
+        else:
+            i, b = score(s, base)
+        idx.append(i)
+        best.append(b)
+    return idx, best
+
+
 def greedy_step(
     beta: float, stages: list, cost: CostSpec, continuation: np.ndarray, grid: Grid, gaps=None, fallbacks=None
 ):
     """One Bellman sweep over both states: (idx, best), one array each, as in greedy.
 
-    The mover prefers the right in state 1. gaps, if given, has one row per state.
+    The mover prefers the right in state 1. gaps, if given, has one row
+    per state. Where the two states' bases mirror each other, state 1 is
+    read off state 0 by reflection, with no greedy call.
     """
-    idx, best = [], []
-    for s, stage in enumerate(stages):
-        gap = None if gaps is None else gaps[s]
-        i, b = greedy(stage + beta * continuation, cost, grid, s == 1, gap, fallbacks=fallbacks)
-        idx.append(i)
-        best.append(b)
-    return idx, best
+
+    def score(s, base):
+        return greedy(base, cost, grid, s == 1, None if gaps is None else gaps[s], fallbacks=fallbacks)
+
+    return _by_state([stage + beta * continuation for stage in stages], grid, score, gaps)
 
 
 # Steps a CertifiedSteps remembers. An exact cycle of period P is certified
@@ -335,14 +391,17 @@ class CertifiedSteps:
     Called with each step's continuation u, it returns greedy_step(beta,
     stages, cost, u, grid) bit for bit. It remembers the last _RING
     steps: u, and per state each source's destination and recorded gap.
-    Each state's sources are certified against the remembered step whose
-    u is nearest in sup norm (see the module docstring); only the others
-    are rescored, through greedy's rows. A state goes straight to one
-    full call when the reference cannot certify enough sources, and,
-    after a failed certificate, until a reference nearer than that one
-    turns up. Full calls and rescoring record lower-bound gaps. dense_calls
-    counts full greedy calls, rescored_sources the sources rescored
-    through rows, fallbacks[0] the calls that took the fallback.
+    Where the states' bases mirror each other, state 1 is state 0
+    reflected, gaps included, as in greedy_step. Otherwise each state's
+    sources are certified against the remembered step whose u is nearest
+    in sup norm (see the module docstring); only the others are rescored,
+    through greedy's rows. A state goes straight to one full call when
+    the reference cannot certify enough sources, and, after a failed
+    certificate, until a reference nearer than that one turns up. Full
+    calls and rescoring record lower-bound gaps. The counters count work
+    done: dense_calls the full greedy calls, rescored_sources the sources
+    rescored through rows, fallbacks[0] the calls that took the fallback;
+    a reflected state adds to none of them.
     """
 
     def __init__(self, beta: float, stages: list, cost: CostSpec, grid: Grid):
@@ -365,26 +424,26 @@ class CertifiedSteps:
     def __call__(self, u: np.ndarray):
         slot = self._steps % _RING
         ref, distance = self._reference(u)
-        idx, best, usable = [], [], []
-        for s, stage in enumerate(self.stages):
-            base = stage + self.beta * u
+        # State 0's lower-bound gaps, reflected, bound a reflected state 1's exact gaps.
+        gaps = self._gap[slot]
+
+        def score(s, base):
             found = None
             # D grows with the distance, so a state tries again only nearer than its last failure.
             if ref is not None and self._usable[ref, s] and distance < self._failed_at[s]:
                 found = self._certified(s, base, ref)
                 self._failed_at[s] = distance if found is None else np.inf
-            # ref may be this slot: its state s is read by now; u and usable are written last.
+            # ref may be this slot: its state s is read by now; idx, u and usable are written last.
             if found is None:
-                i, b = self._greedy(base, s, self._gap[slot, s])
                 self.dense_calls += 1
-            else:
-                i, b, self._gap[slot, s] = found
-            idx.append(i)
-            best.append(b)
-            self._idx[slot, s] = i
-            usable.append(np.count_nonzero(self._gap[slot, s] > 0.0) >= u.size - self._most_rescored)
+                return self._greedy(base, s, gaps[s])
+            i, b, gaps[s] = found
+            return i, b
+
+        idx, best = _by_state([stage + self.beta * u for stage in self.stages], self.grid, score, gaps)
+        self._idx[slot] = idx
         self._u[slot] = u
-        self._usable[slot] = usable
+        self._usable[slot] = [np.count_nonzero(gap > 0.0) >= u.size - self._most_rescored for gap in gaps]
         self._steps += 1
         return idx, best
 

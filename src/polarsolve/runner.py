@@ -133,18 +133,31 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], words=N
     return _write(path, _joined(",".join(header) + "\n", cells, after, "\n"))
 
 
+def _policy_table(tables) -> tuple:
+    """(header, columns) of the policy CSV of single-elite or two-elite tables."""
+    if isinstance(tables, MpeSolution):
+        return MPE_POLICY_HEADER, [tables.grid.points, tables.sigmaA0, tables.sigmaA1, tables.sigmaB0, tables.sigmaB1]
+    if isinstance(tables, PolicyTable):
+        return SINGLE_POLICY_HEADER, [tables.grid.points, tables.sigma0, tables.sigma1]
+    raise TypeError(f"cannot emit policy CSV for {type(tables).__name__}")
+
+
+def _value_table(tables) -> tuple:
+    """(header, columns) of the value CSV of single-elite or two-elite tables."""
+    if isinstance(tables, MpeSolution):
+        columns = [tables.vA0, tables.vA1, tables.uA, tables.vB0, tables.vB1, tables.uB]
+        return MPE_VALUE_HEADER, [tables.grid.points, *columns]
+    if isinstance(tables, ValueTable):
+        return SINGLE_VALUE_HEADER, [tables.grid.points, tables.v0, tables.v1]
+    raise TypeError(f"cannot emit value CSV for {type(tables).__name__}")
+
+
 def emit_policy_csv(tables, path, words=None) -> str:
     """Write a policy CSV (single-elite or two-elite schema) to path; return its SHA-256.
 
     words, if given, is a _Words that holds every float of the tables.
     """
-    path = Path(path)
-    if isinstance(tables, MpeSolution):
-        columns = [tables.sigmaA0, tables.sigmaA1, tables.sigmaB0, tables.sigmaB1]
-        return _write_csv(path, MPE_POLICY_HEADER, [tables.grid.points, *columns], words)
-    if isinstance(tables, PolicyTable):
-        return _write_csv(path, SINGLE_POLICY_HEADER, [tables.grid.points, tables.sigma0, tables.sigma1], words)
-    raise TypeError(f"cannot emit policy CSV for {type(tables).__name__}")
+    return _write_csv(Path(path), *_policy_table(tables), words)
 
 
 def emit_value_csv(tables, path, words=None) -> str:
@@ -152,13 +165,7 @@ def emit_value_csv(tables, path, words=None) -> str:
 
     words, if given, is a _Words that holds every float of the tables.
     """
-    path = Path(path)
-    if isinstance(tables, MpeSolution):
-        columns = [tables.vA0, tables.vA1, tables.uA, tables.vB0, tables.vB1, tables.uB]
-        return _write_csv(path, MPE_VALUE_HEADER, [tables.grid.points, *columns], words)
-    if isinstance(tables, ValueTable):
-        return _write_csv(path, SINGLE_VALUE_HEADER, [tables.grid.points, tables.v0, tables.v1], words)
-    raise TypeError(f"cannot emit value CSV for {type(tables).__name__}")
+    return _write_csv(Path(path), *_value_table(tables), words)
 
 
 def read_table_csv(path) -> dict[str, np.ndarray]:
@@ -215,7 +222,14 @@ def _finish(
 
 
 def _emit_tables(policy, value, out_dir: Path, words=None) -> dict:
-    """Write policy.csv and value.csv, spelled by words if given; return their digests by name."""
+    """Write policy.csv and value.csv; return their digests by name.
+
+    words, a _Words, spells both files; by default one over both tables'
+    float columns, so a value the two share, such as a grid point that is
+    also a move, is spelled once.
+    """
+    if words is None:
+        words = _Words(list(filter(_is_float, [*_policy_table(policy)[1], *_value_table(value)[1]])))
     return {
         "policy.csv": emit_policy_csv(policy, out_dir / "policy.csv", words),
         "value.csv": emit_value_csv(value, out_dir / "value.csv", words),

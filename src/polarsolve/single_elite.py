@@ -321,7 +321,10 @@ def solve_infinite(
     with O(n) sweeps that evaluate those destinations (_evaluate) until
     a greedy step moves no value: the tables repeat bit for bit. One
     more greedy step against the emitted tables, the only one that asks
-    for exact gaps, gives the policy and margins.
+    for exact gaps, gives the policy and margins. At pi = 1/2 the stay-put
+    start and every table after it have v1 = v0[::-1] bit for bit, so
+    each greedy step scores state 0 only and reads state 1 off it by
+    reflection (see the kernel module docstring).
 
     The repeat is the table that value iteration from zero repeats at,
     so neither the start nor any tolerance enters the result. Every float

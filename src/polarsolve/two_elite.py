@@ -32,7 +32,11 @@ alone and reads B off by reversal; check_no_deviation re-solves B.
 A backward step reuses a source's destination from a recent step when
 the kernel's certificate proves that it still wins strictly, with float
 rounding bounded. A strict winner is what the full maximisation returns,
-so no table moves: the certificate saves scoring, not precision.
+so no table moves: the certificate saves scoring, not precision. Within
+elite A the same reflection relates the two states wherever A's waiting
+values are a palindrome, as they stay at pi = 1/2: the state-1 base is
+then the state-0 base reversed, and the kernel reads state 1 off state 0
+without scoring it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, mirror_closed
 from .model import (
     CostSpec,
     ModelParams,
@@ -167,7 +171,8 @@ class MpeSolution:
     cycle_period: int | None = None
     # First step whose waiting values recur P steps later (exact cycle only).
     cycle_entered_at: int | None = None
-    # Full greedy calls, sources rescored where a certificate failed, calls that took the full-row scan.
+    # Full greedy calls made (a state reflected from the other makes none), sources rescored where
+    # a certificate failed, calls that took the full-row scan.
     dense_calls: int = 0
     rescored_sources: int = 0
     kernel_fallbacks: int = 0
@@ -211,10 +216,11 @@ def mpe_solve(
     horizon's phase and returns its tables and residual (cycle period P).
     Exhausting the horizon with a larger residual flags the solution as
     non-converged. The steps go through kernel.CertifiedSteps, which
-    rescores only the sources whose destination at a recent step it cannot
-    prove to still win strictly; its steps equal greedy_step's bit for
-    bit, so the tables, the residual and the cycle are those of the dense
-    recursion.
+    reads state 1 off state 0 where their bases mirror each other and
+    otherwise rescores only the sources whose destination at a recent step
+    it cannot prove to still win strictly; its steps equal greedy_step's
+    bit for bit, so the tables, the residual and the cycle are those of
+    the dense recursion.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be at least 2, got {horizon}")
@@ -222,7 +228,7 @@ def mpe_solve(
         raise ValueError(f"residual_tol must be positive, got {residual_tol}")
     pi, beta = params.pi, params.beta
     pts = grid.points
-    if not np.array_equal(1.0 - pts, pts[::-1]):
+    if not mirror_closed(grid):
         raise ValueError("mpe_solve needs a mirror-closed grid (1 - p on the grid for every p)")
     last = grid.n - 1
     stage = stage_payoffs(params, grid)
@@ -302,9 +308,11 @@ def check_no_deviation(params: ModelParams, cost: CostSpec, sol: MpeSolution) ->
     value or policy entry shows up as a strictly positive gain, and one
     off the grid raises ValueError. So does a non-finite mover or waiting
     value: the gain would be NaN, or the maximum would drop it, and a NaN
-    gain fails no `gain > tol` test. All four movers are re-solved
-    independently: the A/B mirror that mpe_solve relies on is not
-    assumed here, so a wrong B table shows up too.
+    gain fails no `gain > tol` test. A and B are re-solved separately:
+    the A/B mirror that mpe_solve relies on is not assumed here, so a
+    wrong B table shows up too. Within one elite, greedy_step reads state
+    1 off state 0 where their bases mirror each other bit for bit, an
+    exact reflection (see the kernel module docstring).
     """
     grid = sol.grid
     stages = stage_payoffs(params, grid)

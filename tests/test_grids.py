@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarsolve.grids import build_grid
+from polarsolve.grids import Grid, build_grid, mirror_closed
 
 
 def test_build_small_grids():
@@ -33,7 +33,13 @@ def test_grid_invariants(n):
     assert g.points[mid] == 0.5
     # exact mirror closure
     assert all((1.0 - g.points[i]) == g.points[n - 1 - i] for i in range(n))
+    assert mirror_closed(g)
     # uniform spacing well inside tolerance
     d = np.diff(g.points)
     assert np.all(d > 0)
     assert np.abs(d - g.step).max() <= 1e-15
+
+
+def test_linspace_is_not_mirror_closed():
+    points = np.linspace(0.0, 1.0, 101)
+    assert not mirror_closed(Grid(points=points, n=101, step=0.01))

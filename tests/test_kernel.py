@@ -1,4 +1,4 @@
-"""The kernel's greedy call against the dense reference, its tie pass and the certified backward steps."""
+"""The kernel's greedy call against the dense reference: its tie pass, its reflection, the certified steps."""
 
 import tracemalloc
 from unittest import mock
@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import polarsolve as ps
 from polarsolve import kernel, two_elite
-from polarsolve.kernel import CertifiedSteps, greedy, stage_payoffs
+from polarsolve.kernel import CertifiedSteps, greedy, greedy_step, stage_payoffs
+from polarsolve.grids import mirror_closed
 from polarsolve.model import evaluate_cost
 from dense_reference import cost_matrix, dense_greedy
 from tie_reference import break_tie, greedy_by_column
@@ -291,6 +292,131 @@ def test_greedy_with_a_non_finite_base(k, planted):
     cost = ps.CostSpec.quadratic(k)
     assert_greedy_is_dense(base, cost, grid)
     assert_greedy_is_dense(base, cost, grid, np.array([60, 7, 0, 100, 7]))
+
+
+CUSTOM = ps.CostSpec.from_function(lambda x: 3.0 * x**1.5 + 2.0 * x**4)
+COSTS = st.sampled_from([0.0, 1e-3, 0.5, 10.0, 200.0, 1e4]).map(ps.CostSpec.quadratic) | st.just(CUSTOM)
+
+
+def reflected(idx, best, gap):
+    """A greedy result reflected through p -> 1 - p: source i's entry from source n - 1 - i, the move mirrored."""
+    return (idx.size - 1 - idx[::-1]).tolist(), bits(best[::-1]), bits(gap[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    half=st.integers(min_value=1, max_value=60),
+    cost=COSTS,
+    levels=st.integers(min_value=1, max_value=60),
+    prefer_right=st.booleans(),
+    straddle=st.integers(min_value=0, max_value=60),
+    data=st.data(),
+)
+def test_greedy_reflects_through_one_minus_p(half, cost, levels, prefer_right, straddle, data):
+    # few levels plant ties; a straddle d > 0 ties 1/2 -+ d, equally far, from 1/2
+    grid = ps.build_grid(2 * half + 1)
+    base = np.array(data.draw(st.lists(st.integers(0, levels), min_size=grid.n, max_size=grid.n))) / levels
+    d = straddle % (half + 1)
+    if d:
+        base[grid.mid] = 0.0
+        base[grid.mid - d] = base[grid.mid + d] = 2.0
+    want_gap, gap, bound = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
+    want = dense_greedy(base, cost_matrix(cost, grid), grid, prefer_right, want_gap)
+    mirror = base[::-1].copy()
+    got = greedy(mirror, cost, grid, not prefer_right, gap)
+    assert (got[0].tolist(), bits(got[1]), bits(gap)) == reflected(*want, want_gap)
+    # the lower bounds of one state, reflected, bound the other's exact gaps
+    greedy(base, cost, grid, prefer_right, bound, exact=False)
+    assert not (bound[::-1] > gap).any()
+
+
+@pytest.mark.parametrize("prefer_right", [False, True])
+def test_reflected_straddle_tie_goes_to_the_other_side(prefer_right):
+    grid = ps.build_grid(21)
+    mid, d = grid.mid, 3
+    base = np.zeros(grid.n)
+    base[mid - d] = base[mid + d] = 1.0
+    cost = ps.CostSpec.quadratic(1.0)
+    idx, _ = greedy(base, cost, grid, prefer_right)
+    mirrored, _ = greedy(base[::-1].copy(), cost, grid, not prefer_right)
+    assert idx[mid] == (mid + d if prefer_right else mid - d)
+    assert mirrored[mid] == grid.n - 1 - idx[mid]
+
+
+@pytest.mark.parametrize("bad", ["first", "inner", "nan", "inf", "minus-inf", "signed-zero", "grid"])
+def test_reflection_refuses_what_is_not_a_mirror(bad):
+    grid = ps.build_grid(21)
+    base0 = np.random.default_rng(2).normal(size=grid.n)
+    base1 = base0[::-1].copy()
+    assert kernel._mirrors(base0, base1, grid)
+    if bad in ("first", "inner"):  # the O(1) test, then the whole comparison
+        at = 0 if bad == "first" else 7
+        base1[at] = np.nextafter(base1[at], np.inf)
+    elif bad == "signed-zero":
+        base0[4], base1[grid.n - 5] = 0.0, -0.0
+        assert np.array_equal(base1, base0[::-1])
+    elif bad == "grid":
+        points = np.linspace(0.0, 1.0, grid.n)
+        grid = ps.Grid(points=points, n=grid.n, step=points[1])
+        assert not mirror_closed(grid)
+    else:
+        base0[4] = base1[grid.n - 5] = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}[bad]
+    assert not kernel._mirrors(base0, base1, grid)
+
+
+def assert_step_is_dense(stages, cost, continuation, grid, beta, calls):
+    """greedy_step's idx, best and gaps equal one dense_greedy call per state, with `calls` greedy calls made."""
+    costmat, gaps = cost_matrix(cost, grid), np.empty((2, grid.n))
+    with np.errstate(invalid="ignore"):  # inf - inf: the gap of tied infinite scores
+        with mock.patch.object(kernel, "greedy", wraps=kernel.greedy) as spy:
+            idx, best = greedy_step(beta, stages, cost, continuation, grid, gaps)
+        for s, stage in enumerate(stages):
+            want_gap = np.empty(grid.n)
+            want_idx, want_best = dense_greedy(stage + beta * continuation, costmat, grid, s == 1, want_gap)
+            assert idx[s].tolist() == want_idx.tolist()
+            assert bits(best[s]) == bits(want_best)
+            assert bits(gaps[s]) == bits(want_gap)
+    assert spy.call_count == calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(min_value=1, max_value=60),
+    cost=COSTS,
+    levels=st.integers(min_value=1, max_value=60),
+    beta=st.floats(min_value=0.01, max_value=0.99),
+    H=st.floats(min_value=0.1, max_value=5.0),
+    data=st.data(),
+)
+def test_greedy_step_on_a_palindrome_scores_one_state(half, cost, levels, beta, H, data):
+    # pi = 1/2: the stages mirror each other, and a palindromic continuation makes the bases mirror too
+    grid = ps.build_grid(2 * half + 1)
+    stages = stage_payoffs(ps.ModelParams(pi=0.5, beta=beta, H=H), grid)
+    half_table = np.array(data.draw(st.lists(st.integers(0, levels), min_size=grid.n, max_size=grid.n))) / levels
+    continuation = half_table + half_table[::-1]
+    assert_step_is_dense(stages, cost, continuation, grid, beta, calls=1)
+
+
+@pytest.mark.parametrize("planted", [np.nan, np.inf, -0.0], ids=["nan", "inf", "signed-zero"])
+def test_greedy_step_scores_both_states_where_the_reflection_refuses(planted):
+    grid, cost, beta = ps.build_grid(41), ps.CostSpec.quadratic(10.0), 0.9
+    stages = stage_payoffs(ps.ModelParams(pi=0.5, beta=beta, H=1.0), grid)
+    continuation = np.abs(grid.points - 0.5)
+    continuation[[6, grid.n - 7]] = planted
+    if planted == 0.0:  # -0.0 in both, +0.0 and -0.0 stages: the bases differ in one sign bit
+        stages = [np.zeros(grid.n), np.zeros(grid.n)]
+        stages[1][6] = -0.0
+    assert_step_is_dense(stages, cost, continuation, grid, beta, calls=2)
+
+
+def test_certified_steps_reflect_at_pi_one_half():
+    # the MPE recursion at pi = 1/2 keeps A's waiting values palindromic: every step scores state 0 only
+    params, cost, grid = ps.ModelParams(pi=0.5, beta=0.9, H=1.0), ps.CostSpec.quadratic(10.0), ps.build_grid(201)
+    with mock.patch.object(kernel, "greedy", wraps=kernel.greedy) as spy:
+        sol = two_elite.mpe_solve(params, cost, grid)
+    assert np.array_equal(sol.uA, sol.uA[::-1])
+    assert spy.call_count > 0 and not any(call.args[3] for call in spy.call_args_list)  # prefer_right: state 1
+    assert 0 < sol.dense_calls < sol.horizon_used
 
 
 def test_certified_gaps_are_lower_bounds_of_the_exact_gaps():

@@ -290,9 +290,12 @@ CUSTOM = ps.CostSpec.from_function(lambda x: 3.0 * x * x + x**4)
 
 @st.composite
 def single_elite_models(draw):
-    """(grid, params, cost): n <= 101, pi and beta in (0, 1) up to beta = 0.99, k from 0, or the custom cost."""
+    """(grid, params, cost): n <= 101, pi and beta in (0, 1) up to beta = 0.99, k from 0, or the custom cost.
+
+    pi = 1/2, where every greedy step reflects one state off the other, is drawn as its own case.
+    """
     grid = ps.build_grid(2 * draw(st.integers(1, 50)) + 1)
-    pi = draw(st.floats(min_value=0.01, max_value=0.99))
+    pi = draw(st.sampled_from([0.5]) | st.floats(min_value=0.01, max_value=0.99))
     beta = draw(st.sampled_from([0.99]) | st.floats(min_value=0.01, max_value=0.99))
     H = draw(st.floats(min_value=0.1, max_value=5.0))
     k = st.sampled_from([0.0]) | st.floats(min_value=0.0, max_value=300.0)
