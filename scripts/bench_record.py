@@ -6,15 +6,19 @@ Usage, from anywhere:
     python3 scripts/bench_record.py --label LABEL [--root CHECKOUT] [--cpu 0]
 
 For each workload that BENCHMARK.json declares, runs bench/run.py of the
-checkout at --root (default: this script's checkout) twice, at seed 0
-for 25 seconds: untraced for the end-to-end metrics and traced for the
-per-layer ones. It then times every preset of the checkout, the median
+checkout at --root (default: this script's checkout) at seed 0 for 25
+seconds: ROUNDS times untraced for the end-to-end metrics, a round over
+every workload at a time so that one slow period of the host cannot
+decide a workload's record, and once traced for the per-layer ones. It
+then times every preset of the checkout, the median
 of PRESET_RUNS runs of run_config in a fresh interpreter each, and the
 acceptance suite (pytest tests/test_acceptance.py), the median of
 SUITE_RUNS runs. The recorder pins itself to one vCPU first, so every run
 it starts inherits the pin: on a shared host the same code reads
 differently on different vCPUs. The record holds each metric's median
-as bench/run.py reports it, the preset and suite seconds, plus the CPU
+as bench/run.py reports it (for the end-to-end metrics, the median over
+the rounds, each round's value kept beside it), the preset and suite
+seconds, plus the CPU
 count, the numpy version and the pinned vCPU. It is written to
 BENCH_<label>.json beside this script's checkout's BENCHMARK.json. A
 perf change cites a before/after pair of such files, recorded on the
@@ -37,6 +41,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent.parent
 SEED = 0
 SECONDS = 25.0
+ROUNDS = 3
 PRESET_RUNS = 5
 SUITE_RUNS = 3
 # Prints the seconds run_config takes on the preset argv[1], writing under argv[2].
@@ -112,12 +117,25 @@ def main(argv=None) -> int:
         "seconds": SECONDS,
         "workloads": {},
     }
-    for workload in (w["name"] for w in declared["workloads"]):
-        entry = {}
-        for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            result = run_workload(root, workload, trace)
-            entry[key] = {name: metric["value"] for name, metric in result["metrics"].items()}
-            entry[f"{key}_run"] = {k: result[k] for k in ("correct", "attempted", "failed")}
+    names = [w["name"] for w in declared["workloads"]]
+    plain = {workload: [] for workload in names}
+    for _ in range(ROUNDS):
+        for workload in names:
+            plain[workload].append(run_workload(root, workload, 0))
+    for workload, runs in plain.items():
+        rounds = {name: [r["metrics"][name]["value"] for r in runs] for name in runs[0]["metrics"]}
+        traced = run_workload(root, workload, 1)
+        entry = {
+            "end_to_end": {name: statistics.median(values) for name, values in rounds.items()},
+            "end_to_end_rounds": rounds,
+            "end_to_end_run": {
+                "correct": all(r["correct"] for r in runs),
+                "attempted": sum(r["attempted"] for r in runs),
+                "failed": sum(r["failed"] for r in runs),
+            },
+            "per_layer": {name: metric["value"] for name, metric in traced["metrics"].items()},
+            "per_layer_run": {k: traced[k] for k in ("correct", "attempted", "failed")},
+        }
         record["workloads"][workload] = entry
         print(f"{workload}: wall_s {entry['end_to_end']['wall_s']:.4f}", file=sys.stderr)
     record["preset_seconds"] = preset_seconds(root)

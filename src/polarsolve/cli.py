@@ -11,6 +11,7 @@ still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -18,7 +19,9 @@ from .config import EXPERIMENTS, ConfigError, ExperimentConfig, apply_overrides,
 from .runner import EXIT_CONFIG, run_config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="polarsolve",
         description="Solvers for a dynamic model of elite persuasion under majority rule.",

@@ -81,6 +81,20 @@ certificates chain. A tie records a gap of 0, which never passes; a NaN,
 or an overflow to inf in M, fails the comparison, so its source is
 rescored.
 
+Tie sets. At k = 0 every source ties, so no gap certificate passes, and
+CertifiedSteps certifies a whole state by its tie set
+T = flatnonzero(b == max b) instead. Each move costs fl(fl(0 x) x) = +0.0
+(-0.0 for k = -0.0), so S[i, j] equals b[j] and every source's lowest and
+highest maximiser are the ends of T. _settle's steps 1 to 4 then read
+only T, the source, the grid and the preferred side: step 1's
+base[s] - c(0) == best holds exactly where s is in T. So where a state's
+T is non-empty and equal, as an index array, to the T it had at the last
+step, greedy would return the last step's destinations, and they are
+kept; best and the gap are greedy's own k = 0 expressions, so they are
+its bits. A NaN base has an empty T, and a state reflected at the last
+step recorded none: both are scored. At k = 0 the gap certificate and
+its reference search are not tried.
+
 Reflection. greedy_step and CertifiedSteps score state 1 by reversing
 state 0 when its base is state 0's reversed: base1 equals base0[::-1]
 bit for bit (as int64, so -0.0 against 0.0 refuses), every base value is
@@ -328,26 +342,29 @@ def _settle(base, cost, pts, prefer_right, src, L, U, best, ties):
     return idx
 
 
-def _mirrors(base0, base1, grid: Grid) -> bool:
-    """Whether state 1's scores are state 0's reflected (see the module docstring's Reflection)."""
+def _mirrors(base0, base1, closed: bool) -> bool:
+    """Whether state 1's scores are state 0's reflected (see the module docstring's Reflection).
+
+    closed is whether the grid is mirror-closed, grids.mirror_closed.
+    """
     return bool(
-        base1[0] == base0[-1]
+        closed
+        and base1[0] == base0[-1]
         and np.array_equal(base1.view(np.int64), base0[::-1].view(np.int64))
         and np.isfinite(base0).all()
-        and mirror_closed(grid)
     )
 
 
-def _by_state(bases, grid: Grid, score, gaps):
+def _by_state(bases, closed: bool, score, gaps):
     """(idx, best), one array per state: score(s, bases[s]) for each state s.
 
-    Where _mirrors holds, state 1 is state 0 reflected through p -> 1 - p
-    instead, gaps[1] from gaps[0] if gaps is given, and score is not
-    called for it.
+    Where _mirrors holds (closed: the grid is mirror-closed), state 1 is
+    state 0 reflected through p -> 1 - p instead, gaps[1] from gaps[0] if
+    gaps is given, and score is not called for it.
     """
     idx, best = [], []
     for s, base in enumerate(bases):
-        if s == 1 and _mirrors(bases[0], base, grid):
+        if s == 1 and _mirrors(bases[0], base, closed):
             i, b = idx[0].size - 1 - idx[0][::-1], best[0][::-1].copy()
             if gaps is not None:
                 gaps[1] = gaps[0][::-1]
@@ -371,13 +388,16 @@ def greedy_step(
     def score(s, base):
         return greedy(base, cost, grid, s == 1, None if gaps is None else gaps[s], fallbacks=fallbacks)
 
-    return _by_state([stage + beta * continuation for stage in stages], grid, score, gaps)
+    return _by_state([stage + beta * continuation for stage in stages], mirror_closed(grid), score, gaps)
 
 
 # Steps a CertifiedSteps remembers. An exact cycle of period P is certified
 # against the same phase P steps back, and the longest MPE period measured
 # (pi = 0.7, k = 10, n = 2001) is 26.
 _RING = 32
+
+# The tie set of a state with none recorded: equal to no non-empty tie set.
+_NO_TIES = np.empty(0, np.intp)
 
 # Past this share of failed certificates one full call replaces the
 # rescoring. Over whole solves at n = 501, shares of 0.1 and 0.5 measured
@@ -398,10 +418,14 @@ class CertifiedSteps:
     through greedy's rows. A state goes straight to one full call when
     the reference cannot certify enough sources, and, after a failed
     certificate, until a reference nearer than that one turns up. Full
-    calls and rescoring record lower-bound gaps. The counters count work
-    done: dense_calls the full greedy calls, rescored_sources the sources
+    calls and rescoring record lower-bound gaps. For a quadratic cost with
+    k = 0 a state instead keeps the last step's destinations where its tie
+    set is the last step's (the module docstring's Tie sets), and is
+    otherwise scored in one full call. The counters count work done:
+    dense_calls the full greedy calls, rescored_sources the sources
     rescored through rows, fallbacks[0] the calls that took the fallback;
-    a reflected state adds to none of them.
+    a reflected state, or one certified by its tie set, adds to none of
+    them.
     """
 
     def __init__(self, beta: float, stages: list, cost: CostSpec, grid: Grid):
@@ -420,14 +444,21 @@ class CertifiedSteps:
         self._failed_at = [np.inf] * states  # reference distance of each state's last failed certificate
         self._max_cost = float(evaluate_cost(cost, 1.0))
         self._most_rescored = int(_RESCORE_SHARE * n)
+        self._closed = mirror_closed(grid)
+        self._k0 = cost.kind == QUADRATIC and cost.k == 0.0
+        # Each state's tie set at the last step; _NO_TIES where it was not scored (reflected, or no step yet).
+        self._ties = [_NO_TIES] * states
 
     def __call__(self, u: np.ndarray):
         slot = self._steps % _RING
-        ref, distance = self._reference(u)
+        ref, distance = (None, None) if self._k0 else self._reference(u)
         # State 0's lower-bound gaps, reflected, bound a reflected state 1's exact gaps.
         gaps = self._gap[slot]
+        last_ties, self._ties = self._ties, [_NO_TIES] * len(self.stages)
 
         def score(s, base):
+            if self._k0:
+                return self._tied(s, base, gaps[s], last_ties[s])
             found = None
             # D grows with the distance, so a state tries again only nearer than its last failure.
             if ref is not None and self._usable[ref, s] and distance < self._failed_at[s]:
@@ -440,7 +471,7 @@ class CertifiedSteps:
             i, b, gaps[s] = found
             return i, b
 
-        idx, best = _by_state([stage + self.beta * u for stage in self.stages], self.grid, score, gaps)
+        idx, best = _by_state([stage + self.beta * u for stage in self.stages], self._closed, score, gaps)
         self._idx[slot] = idx
         self._u[slot] = u
         self._usable[slot] = [np.count_nonzero(gap > 0.0) >= u.size - self._most_rescored for gap in gaps]
@@ -450,6 +481,20 @@ class CertifiedSteps:
     def _greedy(self, base, s, gap, rows=None):
         """greedy for state s, recording lower-bound gaps."""
         return greedy(base, self.cost, self.grid, s == 1, gap, rows, exact=False, fallbacks=self.fallbacks)
+
+    def _tied(self, s: int, base: np.ndarray, gap: np.ndarray, last: np.ndarray):
+        """greedy for state s at k = 0: the last step's destinations where its tie set recurs, else a full call."""
+        ties = np.flatnonzero(base == base.max())  # empty for a NaN base
+        self._ties[s] = ties
+        if not (ties.size and np.array_equal(ties, last)):
+            self.dense_calls += 1
+            return self._greedy(base, s, gap)
+        # greedy's own k = 0 expressions, so best and gap are its bits
+        pts = self.grid.points
+        best = base[ties[0]] - evaluate_cost(self.cost, pts - pts[ties[0]])
+        runner = best if ties.size > 1 else np.delete(base, ties[0]).max()
+        gap[:] = best - runner
+        return self._idx[(self._steps - 1) % _RING, s].copy(), best
 
     def _reference(self, u: np.ndarray):
         """(slot, distance): the remembered u nearest u in sup norm among slots that can certify.

@@ -32,7 +32,10 @@ alone and reads B off by reversal; check_no_deviation re-solves B.
 A backward step reuses a source's destination from a recent step when
 the kernel's certificate proves that it still wins strictly, with float
 rounding bounded. A strict winner is what the full maximisation returns,
-so no table moves: the certificate saves scoring, not precision. Within
+so no table moves: the certificate saves scoring, not precision. At
+zero cost every source ties and no destination wins strictly, but the
+destinations depend only on the set of tied destinations, so a step
+whose tie set is the last step's keeps the last step's moves. Within
 elite A the same reflection relates the two states wherever A's waiting
 values are a palindrome, as they stay at pi = 1/2: the state-1 base is
 then the state-0 base reversed, and the kernel reads state 1 off state 0
@@ -218,9 +221,11 @@ def mpe_solve(
     non-converged. The steps go through kernel.CertifiedSteps, which
     reads state 1 off state 0 where their bases mirror each other and
     otherwise rescores only the sources whose destination at a recent step
-    it cannot prove to still win strictly; its steps equal greedy_step's
-    bit for bit, so the tables, the residual and the cycle are those of
-    the dense recursion.
+    it cannot prove to still win strictly; at k = 0, where every source
+    ties, a state whose tie set is the last step's keeps that step's
+    destinations unscored. Its steps equal greedy_step's bit for bit, so
+    the tables, the residual and the cycle are those of the dense
+    recursion.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be at least 2, got {horizon}")

@@ -178,8 +178,29 @@ def test_certificate_refuses_a_nan_base():
     assert (steps.dense_calls, steps.rescored_sources) == (2, 0)
 
 
-def test_ties_are_never_certified():
-    # k = 0: every source ties, so no bound is positive and every step is dense
+def assert_tied_step(steps, stages, u, grid, calls):
+    """One CertifiedSteps step at k = 0 against the dense reference, with `calls` full calls made so far.
+
+    idx and best are the reference's bit for bit; the ring's gaps are
+    greedy's bit for bit and the reference's in value: at a tie of -0.0
+    and +0.0 the reference's gap is fl(-0.0 - 0.0) = -0.0, greedy's +0.0.
+    """
+    slot = steps._steps % kernel._RING
+    idx, best = steps(u)
+    costmat = cost_matrix(steps.cost, grid)
+    for s, stage in enumerate(stages):
+        base, gap, want_gap = stage + steps.beta * u, np.empty(grid.n), np.empty(grid.n)
+        want_idx, want_best = dense_greedy(base, costmat, grid, s == 1, want_gap)
+        greedy(base, steps.cost, grid, s == 1, gap)
+        assert idx[s].tolist() == want_idx.tolist()
+        assert bits(best[s]) == bits(want_best)
+        assert bits(steps._gap[slot, s]) == bits(gap)
+        assert np.array_equal(gap, want_gap, equal_nan=True)
+    assert (steps.dense_calls, steps.rescored_sources) == (calls, 0)
+
+
+def test_a_recurring_tie_set_keeps_its_destinations():
+    # k = 0: every source ties, and a step with the last step's tie set makes no greedy call
     grid = ps.build_grid(41)
     cost = ps.CostSpec.quadratic(0.0)
     base = np.zeros(grid.n)
@@ -187,7 +208,71 @@ def test_ties_are_never_certified():
     steps = one_state(grid, cost)
     for _ in range(3):
         assert_step_is_greedy(steps(base), base, cost, grid)
-    assert (steps.dense_calls, steps.rescored_sources) == (3, 0)
+    assert (steps.dense_calls, steps.rescored_sources) == (1, 0)
+
+
+@pytest.mark.parametrize("change", ["gains", "loses", "moves", "nan", "lone-inf"])
+def test_a_changed_tie_set_is_scored_again(change):
+    grid = ps.build_grid(41)
+    steps = one_state(grid, ps.CostSpec.quadratic(0.0))
+    stages = steps.stages
+    base = np.zeros(grid.n)
+    base[[10, 30]] = 1.0
+    assert_tied_step(steps, stages, base, grid, calls=1)
+    changed = base.copy()
+    if change == "gains":
+        changed[20] = 1.0
+    elif change == "loses":
+        changed[30] = 0.5
+    elif change == "moves":  # the same size, one member moved
+        changed[30], changed[31] = 0.5, 1.0
+    else:
+        changed[20] = np.nan if change == "nan" else np.inf
+    assert_tied_step(steps, stages, changed, grid, calls=2)
+    # the changed set recurs; a NaN base has no tie set and is scored again
+    assert_tied_step(steps, stages, changed, grid, calls=3 if change == "nan" else 2)
+
+
+def tie_sets(n):
+    """Sets of grid indices: any, or the pair 1/2 -+ d, which only the preferred side settles."""
+    half = n // 2
+    return st.sets(st.integers(0, n - 1), min_size=1, max_size=n) | st.integers(1, half).map(
+        lambda d: {half - d, half + d}
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(half=st.integers(min_value=1, max_value=30), mirror=st.booleans(), data=st.data())
+def test_tie_set_certificates_equal_the_dense_reference(half, mirror, data):
+    # k = 0 steps whose tie sets recur or change, with +0.0 and -0.0 at the top; at pi = 1/2 with a
+    # palindromic u the states mirror and state 1 is reflected, otherwise both states are scored
+    grid, cost = ps.build_grid(2 * half + 1), ps.CostSpec.quadratic(0.0)
+    n = grid.n
+    # -0.0 adds nothing, so each base is u bit for bit, or u one lower where stage 1 is -1
+    stages = [np.full(n, -0.0), np.full(n, -0.0)]
+    if not mirror:
+        stages[1] = -np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    steps = CertifiedSteps(1.0, stages, cost, grid)
+    top, last, calls = data.draw(tie_sets(n)), [None, None], 0
+    for _ in range(data.draw(st.integers(min_value=2, max_value=6))):
+        if data.draw(st.booleans()):  # a new top set, else the last one under new lower values
+            top = data.draw(tie_sets(n))
+        u = np.array(data.draw(st.lists(st.integers(-3, -1), min_size=n, max_size=n)), dtype=float)
+        signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        u[sorted(top)] = np.where(np.array(signs)[sorted(top)], -0.0, 0.0)
+        if mirror:
+            u[half + 1 :] = u[:half][::-1]
+        bases = [stage + u for stage in stages]
+        # the counters count the full calls: one per scored state whose tie set is not the last step's
+        reflected = kernel._mirrors(*bases, True)
+        for s, base in enumerate(bases):
+            ties = np.flatnonzero(base == base.max())
+            if s == 1 and reflected:
+                last[1] = None
+                continue
+            calls += last[s] is None or not np.array_equal(ties, last[s])
+            last[s] = ties
+        assert_tied_step(steps, stages, u, grid, calls)
 
 
 def assert_greedy_is_dense(base, cost, grid, rows=None):
@@ -348,7 +433,7 @@ def test_reflection_refuses_what_is_not_a_mirror(bad):
     grid = ps.build_grid(21)
     base0 = np.random.default_rng(2).normal(size=grid.n)
     base1 = base0[::-1].copy()
-    assert kernel._mirrors(base0, base1, grid)
+    assert kernel._mirrors(base0, base1, mirror_closed(grid))
     if bad in ("first", "inner"):  # the O(1) test, then the whole comparison
         at = 0 if bad == "first" else 7
         base1[at] = np.nextafter(base1[at], np.inf)
@@ -361,7 +446,7 @@ def test_reflection_refuses_what_is_not_a_mirror(bad):
         assert not mirror_closed(grid)
     else:
         base0[4] = base1[grid.n - 5] = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}[bad]
-    assert not kernel._mirrors(base0, base1, grid)
+    assert not kernel._mirrors(base0, base1, mirror_closed(grid))
 
 
 def assert_step_is_dense(stages, cost, continuation, grid, beta, calls):

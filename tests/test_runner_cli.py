@@ -145,6 +145,16 @@ def test_cli_solve_single_tables_do_not_depend_on_tol(tmp_path):
     assert len(tables) == 1
 
 
+def test_main_calls_in_one_process_keep_their_own_overrides(tmp_path):
+    # the parser is built once per process; each call's --override list is its own
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["solve-single2p", "--out", str(first), "--override", "grid_n=11", "--override", "k=3"]) == 0
+    assert main(["solve-single2p", "--out", str(second), "--override", "grid_n=13"]) == 0
+    configs = [json.loads((out / "manifest.json").read_text())["config"] for out in (first, second)]
+    assert (configs[0]["grid_n"], configs[0]["k"]) == (11, 3.0)
+    assert (configs[1]["grid_n"], configs[1]["k"]) == (13, ExperimentConfig().k)
+
+
 def test_solve_mpe_run_zero_cost(tmp_path):
     config = parse_config(
         "experiment = solve-mpe\nk = 0\ngrid_n = 101\nhorizon = 600\ntol = 1e-10\n"
@@ -162,9 +172,10 @@ def test_solve_mpe_run_zero_cost(tmp_path):
     assert diagnostics["cycle_period"] == 1
     assert diagnostics["cycle_entered_at"] is None
     assert diagnostics["no_deviation_gain"] <= 1e-8
-    # every source ties at zero cost, so every step scores all moves, of one
-    # state: the other is its reflection
-    assert diagnostics["dense_calls"] == diagnostics["horizon_used"]
+    # every source ties at zero cost, and in the same tie set at every step:
+    # only the first step scores its moves, of one state (the other is its
+    # reflection); every later step keeps the first step's destinations
+    assert diagnostics["dense_calls"] == 1
     assert diagnostics["rescored_sources"] == 0
 
 

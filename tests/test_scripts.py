@@ -96,3 +96,33 @@ spans two code lines"""
         ["1", str(tmp_path / "pkg" / "b.py")],
         ["6", "total"],
     ]
+
+
+def test_bench_record_keeps_the_median_of_its_untraced_rounds(tmp_path, monkeypatch):
+    record = load_script("bench_record")
+    declared = {"workloads": [{"name": "fast"}, {"name": "slow"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    # the values of successive runs; the first round of "slow" falls in a slow period of the host
+    walls = {("fast", 0): iter([1.0, 3.0, 2.0]), ("slow", 0): iter([90.0, 5.0, 4.0]),
+             ("fast", 1): iter([7.0]), ("slow", 1): iter([7.0])}
+    calls = []
+
+    def run_workload(root, workload, trace):
+        calls.append((workload, trace))
+        value = next(walls[workload, trace])
+        return {"metrics": {"wall_s": {"value": value}}, "correct": True, "attempted": 2, "failed": 0}
+
+    monkeypatch.setattr(record, "run_workload", run_workload)
+    monkeypatch.setattr(record, "preset_seconds", lambda root: {})
+    monkeypatch.setattr(record, "suite_seconds", lambda root: 0.0)
+    monkeypatch.setattr(record.os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setattr(record, "HERE", tmp_path)
+    assert record.main(["--label", "x", "--root", str(tmp_path)]) == 0
+    # a round visits every workload before the next round starts; the traced runs come last
+    assert calls == [("fast", 0), ("slow", 0)] * 3 + [("fast", 1), ("slow", 1)]
+    workloads = json.loads((tmp_path / "BENCH_x.json").read_text())["workloads"]
+    assert workloads["fast"]["end_to_end"] == {"wall_s": 2.0}
+    assert workloads["slow"]["end_to_end"] == {"wall_s": 5.0}
+    assert workloads["slow"]["end_to_end_rounds"] == {"wall_s": [90.0, 5.0, 4.0]}
+    assert workloads["slow"]["end_to_end_run"] == {"correct": True, "attempted": 6, "failed": 0}
+    assert workloads["slow"]["per_layer"] == {"wall_s": 7.0}

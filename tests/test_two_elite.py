@@ -432,16 +432,17 @@ def test_certified_steps_equal_dense_reference_bit_for_bit(n, pi, k, beta, H, cu
     assert_same_solution(got, mpe_reference(params, cost, grid))
 
 
-def test_most_steps_are_certified_and_ties_are_scored_densely():
+def test_most_steps_are_certified_and_a_zero_cost_solve_makes_one_full_call():
     grid = ps.build_grid(501)
     sol = ps.mpe_solve(PARAMS, QUAD10, grid)
     calls = 2 * sol.horizon_used  # one greedy maximisation per state and step
     assert sol.dense_calls < calls / 4
     assert sol.rescored_sources < grid.n * calls / 20
-    # k = 0: every source ties, so no destination can be certified; every step
-    # reflects state 1 off state 0, so each makes one dense call
+    # k = 0: every source ties; every step reflects state 1 off state 0, and
+    # state 0's tie set is the first step's at every later step, so only the
+    # first step scores
     sol = ps.mpe_solve(PARAMS, ps.CostSpec.quadratic(0.0), grid)
-    assert sol.dense_calls == sol.horizon_used
+    assert sol.dense_calls == 1
     assert sol.rescored_sources == 0
 
 
